@@ -6,7 +6,8 @@ Subcommands:
   export   -- bulk-dump a family of statistic tables as one JSON document
 
 Exit codes: 0 success, 1 at least one identity failure, 2 invalid
-usage/parameters, 3 I/O error.  Identical invocations produce
+usage/parameters, 3 I/O error, 4 internal inconsistency (a consistency
+check inside a statistic table failed).  Identical invocations produce
 byte-identical output.
 """
 
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 VERIFY_SUITES = ("all",) + verify.SUITE_ORDER
 
@@ -190,6 +192,11 @@ def _build_config(args):
 def cmd_verify(args):
     config = _build_config(args)
     if args.suite == "bad-exponent":
+        _require(
+            config.ell_range[1] >= 2,
+            "bad-exponent needs --ell to reach 2: for ell=1 the two sign "
+            "rules coincide, so the sweep could not fail",
+        )
         reports = [
             verify.uncorrected_exponent_report(config.n_max, config.ell_range[1])
         ]
@@ -322,6 +329,9 @@ def main(argv=None):
     except IOError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        print("error: internal inconsistency: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

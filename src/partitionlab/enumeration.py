@@ -255,6 +255,38 @@ def overpartitions_a(n, k):
                 yield OverpartitionMarked(parts, v, w)
 
 
+def overpartition_counts(n, ks):
+    """For each k in ks, the overlined total of overpartitions_p(n, k) and
+    the number of objects overpartitions_a(n, k) yields, as
+    {k: (overlined_total, colored_count)}.
+
+    One walk over the partitions of n serves every k, and no object is
+    built: a partition with d distinct values divisible by k, t of them
+    occurring at least twice, carries d overlined objects (one per value)
+    and d + d^2 - (d - t) = d^2 + t colored ones (each overlined value
+    alone, or with a colored value, which may be itself only if repeated).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ks = list(ks)
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    overlined = dict.fromkeys(ks, 0)
+    colored = dict.fromkeys(ks, 0)
+    for parts in partitions(n):
+        mults = part_multiplicities(parts)
+        for k in ks:
+            d = t = 0
+            for v, m in mults.items():
+                if v % k == 0:
+                    overlined[k] += v
+                    d += 1
+                    if m > 1:
+                        t += 1
+            colored[k] += d * d + t
+    return {k: (overlined[k], colored[k]) for k in ks}
+
+
 def mp_ell(n, ell, cap=None):
     """Count partitions of n whose smallest part greater than 2*ell-1 is odd
     and occurs exactly ell times, with every other odd part occurring at

@@ -466,22 +466,24 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 # overpartition identities
 
 
-def _overpartition_cases(k, n_max):
-    if n_max >= 1:
-        enumeration.warm_statistics_cache(n_max, k)
-    a_series = (partition_gf(n_max) * geometric_kernel(k, n_max)).coeffs
-    for n in range(1, n_max + 1):
-        overlined_total = 0
-        count_p = 0
-        for obj in enumeration.overpartitions_p(n, k):
-            overlined_total += obj.overlined
-            count_p += 1
-        count_a = sum(1 for _ in enumeration.overpartitions_a(n, k))
-        yield _case(
-            "P1", {"k": k, "n": n}, overlined_total, enumeration.a_k(n, k)
-        )
-        yield _case("P2", {"k": k, "n": n}, count_a, a_series[n])
-        yield _case("P3", {"k": k, "n": n}, overlined_total, k * count_a)
+def _overpartition_cases(ks, n_max):
+    # P1 compares a walk over partitions() with the ab_stat_sums sweep
+    # behind a_k, which never calls partitions(): two enumerations
+    ks = list(ks)
+    if n_max >= 1 and ks:
+        enumeration.warm_statistics_cache(n_max, max(ks))
+    counts = [
+        enumeration.overpartition_counts(n, ks) for n in range(1, n_max + 1)
+    ]
+    for k in ks:
+        a_series = (partition_gf(n_max) * geometric_kernel(k, n_max)).coeffs
+        for n, by_k in enumerate(counts, start=1):
+            overlined_total, count_a = by_k[k]
+            yield _case(
+                "P1", {"k": k, "n": n}, overlined_total, enumeration.a_k(n, k)
+            )
+            yield _case("P2", {"k": k, "n": n}, count_a, a_series[n])
+            yield _case("P3", {"k": k, "n": n}, overlined_total, k * count_a)
 
 
 def verify_overpartition_identities(k, n_max):
@@ -489,7 +491,7 @@ def verify_overpartition_identities(k, n_max):
     equals a_k(n); the colored-object count matches its product series;
     and merging colored into overlined parts is k-to-one."""
     t0 = time.perf_counter()
-    cases = list(_overpartition_cases(k, n_max))
+    cases = list(_overpartition_cases([k], n_max))
     return _finish(
         "overpartitions", {"n_max": n_max, "k": [k, k]}, cases, t0
     )
@@ -603,9 +605,7 @@ def _suite_jobs(config):
 
     def overpartitions():
         t0 = time.perf_counter()
-        cases = []
-        for k in ks:
-            cases.extend(_overpartition_cases(k, enum_n))
+        cases = list(_overpartition_cases(ks, enum_n))
         return _finish(
             "overpartitions",
             {"n_max": enum_n, "k": list(config.k_range)},

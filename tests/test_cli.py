@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from partitionlab import cli
+from partitionlab import cli, stats
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +99,17 @@ def test_compute_unwritable_path_exit_3(capsys):
     assert "cannot write" in err
 
 
+def test_internal_inconsistency_exit_4(capsys, monkeypatch):
+    def inconsistent(ell, n_max):
+        raise ArithmeticError("M_%d evaluation routes disagree at n=3" % ell)
+
+    monkeypatch.setattr(stats, "m_ell_table", inconsistent)
+    code, out, err = run_cli(capsys, "compute", "m", "--ell", "2", "--n-max", "5")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal inconsistency: M_2 evaluation routes disagree at n=3\n"
+
+
 def test_compute_output_is_deterministic(capsys):
     args = ("compute", "c", "--k", "2", "--n-max", "30", "--format", "json")
     _, first, _ = run_cli(capsys, *args)
@@ -142,6 +153,25 @@ def test_verify_bad_exponent_exit_1_and_witness(capsys):
     failure_lines = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
     assert failure_lines
     assert "n=5" in failure_lines[0] and "ell=2" in failure_lines[0]
+
+
+def test_verify_bad_exponent_below_ell_2_exit_2(capsys):
+    # for ell=1 the two sign rules coincide, so the sweep cannot fail
+    code, out, err = run_cli(
+        capsys, "verify", "bad-exponent", "--n-max", "30", "--ell", "1..1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--ell" in err
+    # inside `verify all` the same range keeps its empty witness report
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "all", "--n-max", "10", "--k", "1", "--ell", "1", "--enum-cap", "5",
+        "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)[-1]
+    assert (report["suite"], report["total"]) == ("bad-exponent", 0)
 
 
 def test_verify_json_output(capsys):

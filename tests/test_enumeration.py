@@ -16,6 +16,7 @@ from partitionlab.enumeration import (
     mp_ell,
     mp_ell_verbal,
     mp_verbal_discrepancies,
+    overpartition_counts,
     overpartitions_a,
     overpartitions_p,
     part_multiplicities,
@@ -254,11 +255,25 @@ def test_overlined_totals_equal_a_statistic():
             assert total == a_k(n, k)
 
 
+def test_overpartition_counts_match_the_generators():
+    # the closed form d^2 + t against the objects the generators build
+    for n in range(1, 26):
+        counts = overpartition_counts(n, range(1, 6))
+        for k in range(1, 6):
+            total = sum(o.overlined for o in overpartitions_p(n, k))
+            colored = sum(1 for _ in overpartitions_a(n, k))
+            assert counts[k] == (total, colored), (n, k)
+
+
 def test_overpartition_domain():
     with pytest.raises(ValueError):
         list(overpartitions_p(0, 2))
     with pytest.raises(ValueError):
         list(overpartitions_a(3, 0))
+    with pytest.raises(ValueError):
+        overpartition_counts(0, [1])
+    with pytest.raises(ValueError):
+        overpartition_counts(3, [2, 0])
 
 
 # ---------------------------------------------------------------------------

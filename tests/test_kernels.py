@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from partitionlab import _kernels_py
+from partitionlab.series import euler_product, partition_gf
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "partitionlab"
@@ -215,4 +216,9 @@ def test_backends_agree_on_larger_sweeps(speedups):
         if g2 < 200:
             euler[g2] = s
         j += 1
+    assert speedups.invert_unit(euler) == _kernels_py.invert_unit(euler)
+    # order 600: the dense p x p product and the inverse of the Euler product
+    pgf = list(partition_gf(600).coeffs)
+    assert speedups.convolve(pgf, pgf) == _kernels_py.convolve(pgf, pgf)
+    euler = list(euler_product(600).coeffs)
     assert speedups.invert_unit(euler) == _kernels_py.invert_unit(euler)

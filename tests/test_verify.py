@@ -3,7 +3,7 @@ report plumbing."""
 
 import pytest
 
-from partitionlab import stats, verify
+from partitionlab import enumeration, stats, verify
 from partitionlab.verify import (
     RunConfig,
     bad_exponent_witness_report,
@@ -187,6 +187,26 @@ def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
     # suites that never touch the b tables stay green
     assert verify_m_routes(2, 30).passed
     assert verify_overpartition_identities(2, 10).passed
+
+
+def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
+    # P1 sets the partitions() walk against the ab_stat_sums sweep behind
+    # a_k, which never calls partitions(); losing one partition of 7 from
+    # the walk must fail P1, and leave a suite that never walks it green
+    real = enumeration.partitions
+
+    def dropping(n, max_part=None):
+        stream = real(n, max_part)
+        if n == 7 and max_part is None:
+            next(stream)
+        return stream
+
+    monkeypatch.setattr(enumeration, "partitions", dropping)
+    report = verify_overpartition_identities(1, 10)
+    assert not report.passed
+    first = report.first_failure
+    assert (first.identity_id, first.params) == ("P1", {"k": 1, "n": 7})
+    assert verify_thmcomb(10, 2).passed
 
 
 # ---------------------------------------------------------------------------
