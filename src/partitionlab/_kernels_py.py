@@ -1,9 +1,11 @@
 """Pure-Python reference kernels.
 
-These are the hot inner loops of the package: truncated big-integer
-convolution, series inversion, and the partition sweep that accumulates
-the a/b statistics.  `partitionlab._speedups` implements the same three
-functions in Cython; `partitionlab.kernels` picks one at import time.
+These are the hot inner loops of the series route: truncated
+big-integer convolution and series inversion.  The third, the partition
+sweep that accumulates the a/b statistics, no longer runs in the package;
+it is the test oracle of `enumeration.stat_sum_tables`.
+`partitionlab._speedups` implements the same three functions in Cython;
+`partitionlab.kernels` picks one at import time.
 All arithmetic is exact (Python ints, never floats).
 """
 

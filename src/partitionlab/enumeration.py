@@ -1,21 +1,21 @@
-"""Brute-force oracles for every partition statistic.
+"""Combinatorial oracles for every partition statistic.
 
-Everything in this module computes statistics directly from their
-verbal definitions by enumerating objects (partitions, marked
-overpartitions, subsets), independently of the series machinery in
-`stats`.  Partitions are represented as weakly decreasing tuples of
-positive integers; the empty tuple is the single partition of 0.
+Everything in this module computes statistics from their verbal
+definitions by counting objects (partitions, marked overpartitions,
+subsets), independently of the series machinery in `stats`.  The a/b
+statistics come from a dynamic program over part values that adds up
+every partition of each total at once (`stat_sum_tables`); the others
+walk the objects one by one.  Partitions are represented as weakly
+decreasing tuples of positive integers; the empty tuple is the single
+partition of 0.
 
-The full-sweep statistics are capped (PARTITION_SWEEP_CAP /
-SUBSET_SWEEP_CAP) so the oracle suite stays fast; pass an explicit
-`cap` to go further.
+The statistics are capped (PARTITION_SWEEP_CAP / SUBSET_SWEEP_CAP) so
+the oracle suite stays fast; pass an explicit `cap` to go further.
 """
 
+import threading
 from dataclasses import dataclass
 
-import numpy
-
-from . import kernels
 from .series import pentagonal_number
 
 PARTITION_SWEEP_CAP = 60
@@ -94,28 +94,75 @@ def _check_sweep(n, cap):
         raise ValueError("n=%d exceeds the enumeration cap %d" % (n, limit))
 
 
-# n -> (k_max, A, B); one partition sweep covers every k <= k_max, so a
-# cached entry is reused by any request with a smaller k
-_sweep_cache = {}
+def stat_sum_tables(n_max, k_max):
+    """The a/b statistics for every n <= n_max and k <= k_max, as (A, B)
+    with A[k-1][p][n] = a_{k,p}(n) and B[k-1][n] = b_k(n).
+
+    One dynamic-programming pass over the part values v = 1..n_max.
+    After value v, entry r of each list aggregates the partitions of r
+    whose parts are all <= v: their number, and the totals of their
+    distinct values per residue class and per multiplicity bound.
+    Admitting v with multiplicity m maps the partitions of r - m*v onto
+    those of r, so every list becomes its own sum over m >= 0.  The
+    value v itself then adds v once for each partition with m >= 1 to
+    A[k-1][v mod k], and once for each with m >= k to B[k-1]; with the
+    new counts C those numbers are C[r - v] and C[r - k*v].
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    size = n_max + 1
+    count = [1] + [0] * n_max
+    A = [[[0] * size for _ in range(k)] for k in range(1, k_max + 1)]
+    B = [[0] * size for _ in range(k_max)]
+    rows = [count] + [row for rows_k in A for row in rows_k] + B
+    for v in range(1, size):
+        for row in rows:
+            # row[r] += row[r - v] for r ascending, one stride-v block
+            # at a time
+            for lo in range(v, size, v):
+                row[lo : lo + v] = map(int.__add__, row[lo : lo + v], row[lo - v : lo])
+        for k in range(1, k_max + 1):
+            _add_scaled(A[k - 1][v % k], v, count, v)
+            _add_scaled(B[k - 1], v, count, k * v)
+    return A, B
+
+
+def _add_scaled(row, v, count, shift):
+    # row[r] += v * count[r - shift] for shift <= r <= n_max
+    if shift < len(row):
+        row[shift:] = [x + v * c for x, c in zip(row[shift:], count)]
+
+
+# the a/b tables of the widest stat_sum_tables pass so far, as
+# (n_max, k_max, A, B); one pass serves every n <= n_max and k <= k_max.
+# Suites run on threads share it; the lock keeps a narrower pass from
+# replacing a wider one, and two threads from running the same pass.
+_stat_cache = None
+_stat_lock = threading.Lock()
 
 
 def _stat_sums(n, k):
-    entry = _sweep_cache.get(n)
-    if entry is None or entry[0] < k:
-        A, B = kernels.ab_stat_sums(n, k)
-        entry = (k, tuple(tuple(row) for row in A), tuple(B))
-        _sweep_cache[n] = entry
-    return entry
+    global _stat_cache
+    with _stat_lock:
+        entry = _stat_cache
+        if entry is None or entry[0] < n or entry[1] < k:
+            if entry is not None:
+                n, k = max(n, entry[0]), max(k, entry[1])
+            entry = _stat_cache = (n, k) + stat_sum_tables(n, k)
+    return entry[2:]
 
 
 def warm_statistics_cache(n_max, k_max):
-    """Run the partition sweep once per n covering all k <= k_max."""
-    for n in range(1, n_max + 1):
-        _stat_sums(n, k_max)
+    """Fill the a/b tables for every n <= n_max and k <= k_max in one pass."""
+    _stat_sums(n_max, k_max)
 
 
 def clear_statistics_cache():
-    _sweep_cache.clear()
+    global _stat_cache
+    with _stat_lock:
+        _stat_cache = None
 
 
 def a_kp(n, k, p, cap=None):
@@ -131,7 +178,7 @@ def a_kp(n, k, p, cap=None):
     if not 0 <= p < k:
         raise ValueError("need 0 <= p < k")
     _check_sweep(n, cap)
-    return _stat_sums(n, k)[1][k - 1][p]
+    return _stat_sums(n, k)[0][k - 1][p][n]
 
 
 def a_k(n, k, cap=None):
@@ -146,7 +193,7 @@ def b_k(n, k, cap=None):
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_sweep(n, cap)
-    return _stat_sums(n, k)[2][k - 1]
+    return _stat_sums(n, k)[1][k - 1][n]
 
 
 def m_ell(n, ell, cap=None):
@@ -191,6 +238,8 @@ def c_subsets(n, cap=None):
     is i+1, so their sums extend the already-computed prefix by i+1.
     Sums stay <= n(n+1)/2 <= 325, comfortably exact in int16.
     """
+    import numpy  # only this sweep needs it; keeps it off the import path
+
     limit = SUBSET_SWEEP_CAP if cap is None else cap
     if not 0 <= n <= limit:
         raise ValueError("n=%d outside 0..%d (exhaustive 2^n sweep)" % (n, limit))

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import enumeration, stats
+from . import enumeration, kernels, stats
 from .series import (
     geometric_kernel,
     partition_gf,
@@ -333,17 +333,15 @@ def _gen17_lhs(b_tab, c_tab, k, ell, n, corrected=True, indicator_form=False):
     return sign * (_theta_alternating_sum(b_tab, ell, n, corrected) - sub)
 
 
-def _gen17_rhs(c_tab, mp_tab, n):
-    return sum(c_tab[j] * mp_tab[n - j] for j in range(n + 1))
-
-
 def _gen17_cases(k, ell, n_max, b_tab, c_tab, mp_tab, indicator_form):
+    # rhs[n] = sum_j c_k(j) MP_ell(n - j)
+    rhs = kernels.convolve(list(c_tab.values), list(mp_tab.values))
     for n in range(n_max + 1):
         yield _case(
             "Gen17-eq",
             {"k": k, "ell": ell, "n": n},
             _gen17_lhs(b_tab, c_tab, k, ell, n, indicator_form=indicator_form),
-            _gen17_rhs(c_tab, mp_tab, n),
+            rhs[n],
         )
         yield _case(
             "Gen17-nonneg",
@@ -402,12 +400,15 @@ def _bad_exponent_cells(n_max, ell_max):
     (-1)^j instead of (-1)^(j(j+1)/2), yielding (n, ell, lhs, rhs)."""
     b_tab = stats.b_k_table(2, n_max)
     c_tab = stats.c_k_table(2, n_max)
-    mp_tabs = {ell: stats.mp_ell_table(ell, n_max) for ell in range(1, ell_max + 1)}
+    c_values = list(c_tab.values)
+    rhs = {
+        ell: kernels.convolve(c_values, list(stats.mp_ell_table(ell, n_max).values))
+        for ell in range(1, ell_max + 1)
+    }
     for n in range(1, n_max + 1):
         for ell in range(1, ell_max + 1):
             lhs = _gen17_lhs(b_tab, c_tab, 2, ell, n, corrected=False)
-            rhs = _gen17_rhs(c_tab, mp_tabs[ell], n)
-            yield n, ell, lhs, rhs
+            yield n, ell, lhs, rhs[ell][n]
 
 
 def find_bad_exponent_counterexample(n_max, ell_max=3):
@@ -467,8 +468,8 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 
 
 def _overpartition_cases(ks, n_max):
-    # P1 compares a walk over partitions() with the ab_stat_sums sweep
-    # behind a_k, which never calls partitions(): two enumerations
+    # P1 compares a walk over partitions() with the part-value DP behind
+    # a_k, which never calls partitions(): two independent counts
     ks = list(ks)
     if n_max >= 1 and ks:
         enumeration.warm_statistics_cache(n_max, max(ks))

@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import partitionlab
 from partitionlab import cli, stats
 
 
@@ -11,6 +16,21 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_does_not_load_numpy():
+    # only the csub sweep (enumeration.c_subsets) needs numpy, and it
+    # imports it when called; a fresh process must not pay for it
+    src = Path(partitionlab.__file__).resolve().parent.parent
+    probe = "import sys, partitionlab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

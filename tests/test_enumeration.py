@@ -2,6 +2,9 @@
 overpartitions, subset counts."""
 
 import itertools
+import sys
+import threading
+import time
 
 import pytest
 
@@ -151,6 +154,65 @@ def test_statistics_domain_validation():
         b_k(enumeration.PARTITION_SWEEP_CAP + 1, 2)
     # explicit cap override allows going past the default
     assert b_k(enumeration.PARTITION_SWEEP_CAP + 1, 2, cap=70) > 0
+
+
+def test_statistics_past_the_sweep_bound_match_the_series(monkeypatch):
+    # the part-value DP has no int64 bound: n = 400 > MAX_SWEEP_N = 316
+    from partitionlab import kernels
+    from partitionlab.stats import a_kp_table, b_k_table
+
+    n_max = 400
+    assert n_max > kernels.MAX_SWEEP_N
+    a_tables = [a_kp_table(3, p, n_max) for p in range(3)]
+    b_table = b_k_table(3, n_max)
+    # from a cold cache (the test's own: monkeypatch puts the shared one
+    # back afterwards), the call at n_max fills every smaller n too
+    monkeypatch.setattr(enumeration, "_stat_cache", None)
+    for n in range(n_max, 0, -1):
+        for p in range(3):
+            assert a_kp(n, 3, p, cap=n_max) == a_tables[p][n], (n, p)
+        assert b_k(n, 3, cap=n_max) == b_table[n], n
+
+
+def test_statistics_cache_under_threads(monkeypatch):
+    # verify suites on threads share the a/b cache: every lookup must read
+    # the DP's value, and each pass must widen the cache, so no two threads
+    # run the same pass and a narrower pass never replaces a wider one
+    n_max, k_max = 36, 6
+    A, B = enumeration.stat_sum_tables(n_max, k_max)
+    requests = [(n, k) for n in range(6, n_max + 1, 6) for k in range(1, k_max + 1)]
+    real = enumeration.stat_sum_tables
+    passes = []
+    wrong = []
+
+    def recording(n, k):
+        passes.append((n, k))
+        time.sleep(0.001)  # widen the window between the check and the store
+        return real(n, k)
+
+    def worker(seed):
+        order = requests[seed:] + requests[:seed]
+        for n, k in (order[::-1] if seed % 2 else order):
+            if b_k(n, k) != B[k - 1][n] or a_kp(n, k, n % k) != A[k - 1][n % k][n]:
+                wrong.append((n, k))
+
+    monkeypatch.setattr(enumeration, "stat_sum_tables", recording)
+    monkeypatch.setattr(enumeration, "_stat_cache", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    for (n0, k0), (n1, k1) in zip(passes, passes[1:]):
+        assert n1 >= n0 and k1 >= k0 and (n1, k1) != (n0, k0), passes
+    assert passes[-1] == (n_max, k_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Backend parity: the compiled kernels must match the pure-Python ones
-bit for bit, and both must match definitional oracles.
+bit for bit, and both must match definitional oracles.  The partition
+sweep `ab_stat_sums` is also the oracle of `enumeration.stat_sum_tables`,
+the dynamic program behind the a/b statistics.
 
 The compiled backend is built for these tests, once per session, by
 running this checkout's ``setup.py build_ext`` into a temporary
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from partitionlab import _kernels_py
+from partitionlab.enumeration import stat_sum_tables
 from partitionlab.series import euler_product, partition_gf
 
 REPO = Path(__file__).resolve().parent.parent
@@ -195,6 +198,38 @@ def test_stat_sums_domain_errors(backend):
         backend.ab_stat_sums(5, 0)
     with pytest.raises(ValueError):
         backend.ab_stat_sums(backend.MAX_SWEEP_N + 1, 1)
+
+
+def dp_stat_sums(tables, n, k_max):
+    """The (A, B) of one n, cut out of stat_sum_tables' per-n lists."""
+    A, B = tables
+    return (
+        [[A[k - 1][p][n] for p in range(k)] for k in range(1, k_max + 1)],
+        [B[k - 1][n] for k in range(1, k_max + 1)],
+    )
+
+
+def test_stat_sum_tables_match_definition():
+    tables = stat_sum_tables(25, 6)
+    for n in range(26):
+        assert dp_stat_sums(tables, n, 6) == brute_stat_sums(n, 6), n
+
+
+def test_stat_sum_tables_match_the_sweep(backend):
+    # the compiled sweep reaches the default enumeration cap in about a
+    # second; the pure one stops at 30 to keep the suite fast
+    n_max = 60 if backend is not _kernels_py else 30
+    tables = stat_sum_tables(n_max, 6)
+    for n in range(n_max + 1):
+        assert dp_stat_sums(tables, n, 6) == backend.ab_stat_sums(n, 6), n
+
+
+def test_stat_sum_tables_domain_errors():
+    with pytest.raises(ValueError):
+        stat_sum_tables(-1, 3)
+    with pytest.raises(ValueError):
+        stat_sum_tables(5, 0)
+    assert stat_sum_tables(0, 2) == ([[[0]], [[0], [0]]], [[0], [0]])
 
 
 @needs_toolchain

@@ -190,8 +190,8 @@ def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
 
 
 def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
-    # P1 sets the partitions() walk against the ab_stat_sums sweep behind
-    # a_k, which never calls partitions(); losing one partition of 7 from
+    # P1 sets the partitions() walk against the part-value DP behind a_k,
+    # which never calls partitions(); losing one partition of 7 from
     # the walk must fail P1, and leave a suite that never walks it green
     real = enumeration.partitions
 
