@@ -89,9 +89,11 @@ def partition_count_table(n_max):
 
 
 def _check_sweep(n, cap):
+    """The enumeration cap in force; raises when n exceeds it."""
     limit = PARTITION_SWEEP_CAP if cap is None else cap
     if n > limit:
         raise ValueError("n=%d exceeds the enumeration cap %d" % (n, limit))
+    return limit
 
 
 def stat_sum_tables(n_max, k_max):
@@ -143,20 +145,27 @@ _stat_cache = None
 _stat_lock = threading.Lock()
 
 
-def _stat_sums(n, k):
+def _stat_sums(n, k, limit):
+    # a miss past the cached n at least doubles it (up to limit, the cap
+    # in force), so calls with ascending n run O(log n) passes, not one
+    # pass each
     global _stat_cache
     with _stat_lock:
         entry = _stat_cache
         if entry is None or entry[0] < n or entry[1] < k:
             if entry is not None:
-                n, k = max(n, entry[0]), max(k, entry[1])
+                if n > entry[0]:
+                    n = max(n, min(2 * entry[0], limit))
+                else:
+                    n = entry[0]
+                k = max(k, entry[1])
             entry = _stat_cache = (n, k) + stat_sum_tables(n, k)
     return entry[2:]
 
 
 def warm_statistics_cache(n_max, k_max):
     """Fill the a/b tables for every n <= n_max and k <= k_max in one pass."""
-    _stat_sums(n_max, k_max)
+    _stat_sums(n_max, k_max, n_max)
 
 
 def clear_statistics_cache():
@@ -177,8 +186,7 @@ def a_kp(n, k, p, cap=None):
         raise ValueError("k must be >= 1")
     if not 0 <= p < k:
         raise ValueError("need 0 <= p < k")
-    _check_sweep(n, cap)
-    return _stat_sums(n, k)[0][k - 1][p][n]
+    return _stat_sums(n, k, _check_sweep(n, cap))[0][k - 1][p][n]
 
 
 def a_k(n, k, cap=None):
@@ -192,8 +200,7 @@ def b_k(n, k, cap=None):
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_sweep(n, cap)
-    return _stat_sums(n, k)[1][k - 1][n]
+    return _stat_sums(n, k, _check_sweep(n, cap))[1][k - 1][n]
 
 
 def m_ell(n, ell, cap=None):

@@ -1,9 +1,10 @@
 """Kernel backend selection.
 
 Imports the compiled extension when it is available, otherwise the
-pure-Python fallback.  PARTITIONLAB_PURE=1 forces the fallback (used by
-the parity tests and the benchmark).  Both backends expose identical
-functions with identical exact-arithmetic semantics.
+pure-Python fallback.  PARTITIONLAB_PURE=1 forces the fallback; neither
+the parity tests (which load each backend directly) nor the benchmark
+set it.  Both backends expose identical functions with identical
+exact-arithmetic semantics.
 """
 
 import os

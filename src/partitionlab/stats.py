@@ -87,11 +87,16 @@ def a_kp_table(k, p, n_max):
         raise ValueError("k must be >= 1")
     if not 0 <= p < k:
         raise ValueError("need 0 <= p < k")
-    numerator = TruncatedSeries.monomial(p, p, n_max) + TruncatedSeries.monomial(
-        k - p, p + k, n_max
+    # the numerator is two monomials, so it scales two shifted copies of
+    # the partition series, and the denominator is two O(n) divisions
+    gf = partition_gf(n_max)
+    numerator = TruncatedSeries(
+        [
+            p * x + (k - p) * y
+            for x, y in zip(gf.shifted(p).coeffs, gf.shifted(p + k).coeffs)
+        ]
     )
-    denom = TruncatedSeries.one(n_max).mul_binomial(-1, k).mul_binomial(-1, k)
-    series = partition_gf(n_max) * numerator * denom.invert()
+    series = numerator.div_binomial(-1, k).div_binomial(-1, k)
     return StatTable("a", {"k": k, "p": p}, series.coeffs)
 
 

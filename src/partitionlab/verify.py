@@ -8,6 +8,7 @@ thrown: a failing identity is data (the counterexample), not an error.
 All equalities are exact integer comparisons; there are no tolerances.
 """
 
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -133,7 +134,10 @@ def _case(identity_id, params, lhs, rhs):
     return IdentityCase(identity_id, params, lhs, rhs, ok)
 
 
-def _finish(suite_id, range_desc, cases, started):
+def _report(suite_id, range_desc, cases):
+    """Run the cases (an iterable, usually a generator) into a report."""
+    started = time.perf_counter()
+    cases = list(cases)
     failures = [c for c in cases if not c.passed]
     return VerificationReport(
         suite_id, range_desc, len(cases), failures, time.perf_counter() - started
@@ -141,17 +145,48 @@ def _finish(suite_id, range_desc, cases, started):
 
 
 # ---------------------------------------------------------------------------
+# the tables of one run
+
+
+class TableStore:
+    """The statistic tables of one verification run, each built once.
+
+    ``get("b_k_table", k, n_max)`` returns ``stats.b_k_table(k, n_max)``
+    and calls it only on the first request for those arguments; every
+    suite of the run that needs the table reads the same one.  The
+    function is looked up on ``stats`` at call time, so a patched or
+    traced replacement is the one that runs.  Each run makes its own
+    store, so no table outlives the run.
+
+    Suites on threads share a store without a lock: two of them may miss
+    on the same key at once and both build the table.  The two tables
+    are identical, so either may be kept, and the work never exceeds
+    that of a run without the store.
+    """
+
+    def __init__(self):
+        self._tables = {}
+
+    def get(self, name, *args):
+        key = (name, args)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = getattr(stats, name)(*args)
+        return table
+
+
+# ---------------------------------------------------------------------------
 # generating functions vs. enumeration
 
 
-def _thmgf_cases(n_max, ks, all_residues):
+def _thmgf_cases(tables, n_max, ks, all_residues):
     ks = list(ks)
     if n_max >= 1 and ks:
         enumeration.warm_statistics_cache(n_max, max(ks))
     for k in ks:
-        b_tab = stats.b_k_table(k, n_max)
+        b_tab = tables.get("b_k_table", k, n_max)
         p_top = k if all_residues else 1
-        a_tabs = [stats.a_kp_table(k, p, n_max) for p in range(p_top)]
+        a_tabs = [tables.get("a_kp_table", k, p, n_max) for p in range(p_top)]
         for n in range(1, n_max + 1):
             yield _case(
                 "ThmGF-b", {"k": k, "n": n}, b_tab[n], enumeration.b_k(n, k)
@@ -170,13 +205,10 @@ def _thmgf_cases(n_max, ks, all_residues):
 
 def verify_thmgf(n_max, k_max, all_residues=True):
     """Check the three closed-form tables against brute-force enumeration."""
-    t0 = time.perf_counter()
-    cases = list(_thmgf_cases(n_max, range(1, k_max + 1), all_residues))
-    return _finish(
+    return _report(
         "thmgf",
         {"n_max": n_max, "k": [1, k_max], "all_residues": all_residues},
-        cases,
-        t0,
+        _thmgf_cases(TableStore(), n_max, range(1, k_max + 1), all_residues),
     )
 
 
@@ -184,11 +216,11 @@ def verify_thmgf(n_max, k_max, all_residues=True):
 # linear relations between a and b statistics
 
 
-def _thmcomb_cases(n_max, ks, all_residues):
+def _thmcomb_cases(tables, n_max, ks, all_residues):
     for k in ks:
         order = n_max + k + 1  # the shifted identity reads b_k(n + k - p)
-        b_tab = stats.b_k_table(k, order)
-        a0_tab = stats.a_k_table(k, order)
+        b_tab = tables.get("b_k_table", k, order)
+        a0_tab = tables.get("a_k_table", k, order)
         for n in range(1, n_max + 1):
             yield _case(
                 "ThmComb-1", {"k": k, "n": n}, a0_tab[n], k * b_tab[n]
@@ -196,7 +228,7 @@ def _thmcomb_cases(n_max, ks, all_residues):
         if not all_residues:
             continue
         for p in range(1, k):
-            ap_tab = stats.a_kp_table(k, p, order)
+            ap_tab = tables.get("a_kp_table", k, p, order)
             for n in range(1, n_max + 1):
                 rhs = (k - p) * b_tab[n - p] + p * b_tab[n + k - p]
                 yield _case(
@@ -206,13 +238,10 @@ def _thmcomb_cases(n_max, ks, all_residues):
 
 def verify_thmcomb(n_max, k_max, all_residues=True):
     """Check a_k = k*b_k and a_{k,p}(n) = (k-p) b_k(n-p) + p b_k(n+k-p)."""
-    t0 = time.perf_counter()
-    cases = list(_thmcomb_cases(n_max, range(1, k_max + 1), all_residues))
-    return _finish(
+    return _report(
         "thmcomb",
         {"n_max": n_max, "k": [1, k_max], "all_residues": all_residues},
-        cases,
-        t0,
+        _thmcomb_cases(TableStore(), n_max, range(1, k_max + 1), all_residues),
     )
 
 
@@ -237,73 +266,71 @@ def _trunc_lhs(b_tab, k, ell, n):
     )
 
 
-def _trunc_cases(k, ell, n_max, b_tab, m_tab):
-    for n in range(n_max + 1):
-        rhs = sum(j * m_tab[n - k * j] for j in range(1, n // k + 1))
-        yield _case(
-            "Trunc-eq",
-            {"k": k, "ell": ell, "n": n},
-            _trunc_lhs(b_tab, k, ell, n),
-            rhs,
-        )
+def _trunc_cases(tables, ks, ells, n_max):
+    for k in ks:
+        b_tab = tables.get("b_k_table", k, n_max)
+        for ell in ells:
+            m_tab = tables.get("m_ell_table", ell, n_max)
+            for n in range(n_max + 1):
+                rhs = sum(j * m_tab[n - k * j] for j in range(1, n // k + 1))
+                yield _case(
+                    "Trunc-eq",
+                    {"k": k, "ell": ell, "n": n},
+                    _trunc_lhs(b_tab, k, ell, n),
+                    rhs,
+                )
 
 
 def verify_trunc(k, ell, n_max):
     """Truncated pentagonal identity: the alternating b_k sum minus the
     divisor weight, signed, equals sum_j j * M_ell(n - kj)."""
-    t0 = time.perf_counter()
-    b_tab = stats.b_k_table(k, n_max)
-    m_tab = stats.m_ell_table(ell, n_max)
-    cases = list(_trunc_cases(k, ell, n_max, b_tab, m_tab))
-    return _finish(
-        "trunc", {"n_max": n_max, "k": [k, k], "ell": [ell, ell]}, cases, t0
+    return _report(
+        "trunc",
+        {"n_max": n_max, "k": [k, k], "ell": [ell, ell]},
+        _trunc_cases(TableStore(), [k], [ell], n_max),
     )
 
 
-def _trunc_corollary_cases(k, ells, n_max, b_tab):
-    for ell in ells:
+def _trunc_corollary_cases(tables, ks, ells, n_max):
+    for k in ks:
+        b_tab = tables.get("b_k_table", k, n_max)
+        for ell in ells:
+            for n in range(n_max + 1):
+                yield _case(
+                    "Trunc-nonneg",
+                    {"k": k, "ell": ell, "n": n},
+                    _trunc_lhs(b_tab, k, ell, n),
+                    0,
+                )
         for n in range(n_max + 1):
+            total = 0
+            j = 0
+            while True:
+                g_pos = pentagonal_number(j)
+                g_neg = pentagonal_number(-j)
+                if g_pos > n and g_neg > n:
+                    break
+                sign = -1 if j % 2 else 1
+                if g_pos <= n:
+                    total += sign * b_tab[n - g_pos]
+                if j and g_neg <= n:
+                    total += sign * b_tab[n - g_neg]
+                j += 1
             yield _case(
-                "Trunc-nonneg",
-                {"k": k, "ell": ell, "n": n},
-                _trunc_lhs(b_tab, k, ell, n),
-                0,
+                "Trunc-infsum",
+                {"k": k, "n": n},
+                total,
+                stats.divisor_term(n, k),
             )
-    for n in range(n_max + 1):
-        total = 0
-        j = 0
-        while True:
-            g_pos = pentagonal_number(j)
-            g_neg = pentagonal_number(-j)
-            if g_pos > n and g_neg > n:
-                break
-            sign = -1 if j % 2 else 1
-            if g_pos <= n:
-                total += sign * b_tab[n - g_pos]
-            if j and g_neg <= n:
-                total += sign * b_tab[n - g_neg]
-            j += 1
-        yield _case(
-            "Trunc-infsum",
-            {"k": k, "n": n},
-            total,
-            stats.divisor_term(n, k),
-        )
 
 
 def verify_trunc_corollaries(k, ell_max, n_max):
     """Nonnegativity of the truncated pentagonal expression for every
     ell <= ell_max, and the bilateral sum collapsing to n/k * [k | n]."""
-    t0 = time.perf_counter()
-    b_tab = stats.b_k_table(k, n_max)
-    cases = list(
-        _trunc_corollary_cases(k, range(1, ell_max + 1), n_max, b_tab)
-    )
-    return _finish(
+    return _report(
         "trunc-corollaries",
         {"n_max": n_max, "k": [k, k], "ell": [1, ell_max]},
-        cases,
-        t0,
+        _trunc_corollary_cases(TableStore(), [k], range(1, ell_max + 1), n_max),
     )
 
 
@@ -333,33 +360,31 @@ def _gen17_lhs(b_tab, c_tab, k, ell, n, corrected=True, indicator_form=False):
     return sign * (_theta_alternating_sum(b_tab, ell, n, corrected) - sub)
 
 
-def _gen17_cases(k, ell, n_max, b_tab, c_tab, mp_tab, indicator_form):
-    # rhs[n] = sum_j c_k(j) MP_ell(n - j)
-    rhs = kernels.convolve(list(c_tab.values), list(mp_tab.values))
-    for n in range(n_max + 1):
-        yield _case(
-            "Gen17-eq",
-            {"k": k, "ell": ell, "n": n},
-            _gen17_lhs(b_tab, c_tab, k, ell, n, indicator_form=indicator_form),
-            rhs[n],
-        )
-        yield _case(
-            "Gen17-nonneg",
-            {"k": k, "ell": ell, "n": n},
-            _gen17_lhs(b_tab, c_tab, k, ell, n, indicator_form=indicator_form),
-            0,
-        )
-    for n in range(n_max + 1):
-        total = 0
-        j = 0
-        while triangular_number(j) <= n:
-            t = triangular_number(j)
-            total += stats.triangular_weight_sign(j) * b_tab[n - t]
-            j += 1
-        sub = c_tab[n]
-        if indicator_form and n % k != 0:
-            sub = 0
-        yield _case("Gen17-infsum", {"k": k, "n": n}, total, sub)
+def _gen17_cases(tables, ks, ells, n_max, indicator_form=False):
+    for k in ks:
+        b_tab = tables.get("b_k_table", k, n_max)
+        c_tab = tables.get("c_k_table", k, n_max)
+        for ell in ells:
+            mp_tab = tables.get("mp_ell_table", ell, n_max)
+            # rhs[n] = sum_j c_k(j) MP_ell(n - j)
+            rhs = kernels.convolve(list(c_tab.values), list(mp_tab.values))
+            for n in range(n_max + 1):
+                lhs = _gen17_lhs(
+                    b_tab, c_tab, k, ell, n, indicator_form=indicator_form
+                )
+                yield _case("Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs, rhs[n])
+                yield _case("Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs, 0)
+            for n in range(n_max + 1):
+                total = 0
+                j = 0
+                while triangular_number(j) <= n:
+                    t = triangular_number(j)
+                    total += stats.triangular_weight_sign(j) * b_tab[n - t]
+                    j += 1
+                sub = c_tab[n]
+                if indicator_form and n % k != 0:
+                    sub = 0
+                yield _case("Gen17-infsum", {"k": k, "n": n}, total, sub)
 
 
 def verify_gen17(k, ell, n_max, indicator_form=False):
@@ -371,14 +396,7 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
     that variant provably fails for k >= 3 (e.g. k=3, n=5) and is kept as
     a diagnostic, not as the default identity.
     """
-    t0 = time.perf_counter()
-    b_tab = stats.b_k_table(k, n_max)
-    c_tab = stats.c_k_table(k, n_max)
-    mp_tab = stats.mp_ell_table(ell, n_max)
-    cases = list(
-        _gen17_cases(k, ell, n_max, b_tab, c_tab, mp_tab, indicator_form)
-    )
-    return _finish(
+    return _report(
         "gen17",
         {
             "n_max": n_max,
@@ -386,8 +404,7 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
             "ell": [ell, ell],
             "indicator_form": indicator_form,
         },
-        cases,
-        t0,
+        _gen17_cases(TableStore(), [k], [ell], n_max, indicator_form),
     )
 
 
@@ -395,14 +412,16 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
 # the exponent correction
 
 
-def _bad_exponent_cells(n_max, ell_max):
+def _bad_exponent_cells(tables, n_max, ell_max):
     """Cells of the k=2 theta identity evaluated with the wrong sign
     (-1)^j instead of (-1)^(j(j+1)/2), yielding (n, ell, lhs, rhs)."""
-    b_tab = stats.b_k_table(2, n_max)
-    c_tab = stats.c_k_table(2, n_max)
+    b_tab = tables.get("b_k_table", 2, n_max)
+    c_tab = tables.get("c_k_table", 2, n_max)
     c_values = list(c_tab.values)
     rhs = {
-        ell: kernels.convolve(c_values, list(stats.mp_ell_table(ell, n_max).values))
+        ell: kernels.convolve(
+            c_values, list(tables.get("mp_ell_table", ell, n_max).values)
+        )
         for ell in range(1, ell_max + 1)
     }
     for n in range(1, n_max + 1):
@@ -411,55 +430,53 @@ def _bad_exponent_cells(n_max, ell_max):
             yield n, ell, lhs, rhs[ell][n]
 
 
-def find_bad_exponent_counterexample(n_max, ell_max=3):
-    """Smallest (n, ell) where the uncorrected sign variant fails, or None.
-
-    Cells are scanned by increasing n, then increasing ell.
-    """
-    for n, ell, lhs, rhs in _bad_exponent_cells(n_max, ell_max):
+def _bad_exponent_witness(tables, n_max, ell_max):
+    for n, ell, lhs, rhs in _bad_exponent_cells(tables, n_max, ell_max):
         if lhs != rhs:
             return n, ell
     return None
 
 
+def find_bad_exponent_counterexample(n_max, ell_max=3):
+    """Smallest (n, ell) where the uncorrected sign variant fails, or None.
+
+    Cells are scanned by increasing n, then increasing ell.
+    """
+    return _bad_exponent_witness(TableStore(), n_max, ell_max)
+
+
 def uncorrected_exponent_report(n_max, ell_max=3):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
-    t0 = time.perf_counter()
-    cases = [
-        _case("BadExponent", {"k": 2, "ell": ell, "n": n}, lhs, rhs)
-        for n, ell, lhs, rhs in _bad_exponent_cells(n_max, ell_max)
-    ]
-    return _finish(
+    cells = _bad_exponent_cells(TableStore(), n_max, ell_max)
+    return _report(
         "bad-exponent",
         {"n_max": n_max, "k": [2, 2], "ell": [1, ell_max], "mode": "raw"},
-        cases,
-        t0,
+        (
+            _case("BadExponent", {"k": 2, "ell": ell, "n": n}, lhs, rhs)
+            for n, ell, lhs, rhs in cells
+        ),
     )
+
+
+def _bad_exponent_witness_cases(tables, n_max, ell_max):
+    witness = _bad_exponent_witness(tables, n_max, ell_max)
+    if witness is None:
+        yield _case("BadExponent", {"witness_found": 0}, 0, 1)
+    else:
+        n, ell = witness
+        yield _case(
+            "BadExponent", {"witness_found": 1, "n": n, "ell": ell}, 1, 1
+        )
 
 
 def bad_exponent_witness_report(n_max, ell_max=3):
     """Meta-check for full runs: passes when a counterexample to the
     uncorrected variant exists (i.e. the sign correction is substantive)."""
-    t0 = time.perf_counter()
-    witness = find_bad_exponent_counterexample(n_max, ell_max)
-    if witness is None:
-        cases = [_case("BadExponent", {"witness_found": 0}, 0, 1)]
-    else:
-        n, ell = witness
-        cases = [
-            _case(
-                "BadExponent",
-                {"witness_found": 1, "n": n, "ell": ell},
-                1,
-                1,
-            )
-        ]
-    return _finish(
+    return _report(
         "bad-exponent",
         {"n_max": n_max, "k": [2, 2], "ell": [1, ell_max], "mode": "witness"},
-        cases,
-        t0,
+        _bad_exponent_witness_cases(TableStore(), n_max, ell_max),
     )
 
 
@@ -469,7 +486,9 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 
 def _overpartition_cases(ks, n_max):
     # P1 compares a walk over partitions() with the part-value DP behind
-    # a_k, which never calls partitions(): two independent counts
+    # a_k, which never calls partitions(): two independent counts.  P2
+    # builds its series here, not from stats.b_k_table, so the suite
+    # shares no table with the others
     ks = list(ks)
     if n_max >= 1 and ks:
         enumeration.warm_statistics_cache(n_max, max(ks))
@@ -491,10 +510,10 @@ def verify_overpartition_identities(k, n_max):
     """The three marked-overpartition identities: the overlined-part total
     equals a_k(n); the colored-object count matches its product series;
     and merging colored into overlined parts is k-to-one."""
-    t0 = time.perf_counter()
-    cases = list(_overpartition_cases([k], n_max))
-    return _finish(
-        "overpartitions", {"n_max": n_max, "k": [k, k]}, cases, t0
+    return _report(
+        "overpartitions",
+        {"n_max": n_max, "k": [k, k]},
+        _overpartition_cases([k], n_max),
     )
 
 
@@ -502,24 +521,22 @@ def verify_overpartition_identities(k, n_max):
 # M_ell evaluation-route agreement
 
 
-def _m_route_cases(ell, n_max):
-    primary = stats.m_ell_table(ell, n_max)  # internally: pentagonal == gaussian
-    pdiff = stats.m_ell_table_pdiff(ell, n_max)
-    for n in range(n_max + 1):
-        yield _case(
-            "PfT2", {"ell": ell, "n": n}, primary[n], pdiff[n]
-        )
+def _m_route_cases(tables, ells, n_max):
+    for ell in ells:
+        # internally: pentagonal == gaussian
+        primary = tables.get("m_ell_table", ell, n_max)
+        pdiff = tables.get("m_ell_table_pdiff", ell, n_max)
+        for n in range(n_max + 1):
+            yield _case("PfT2", {"ell": ell, "n": n}, primary[n], pdiff[n])
 
 
 def verify_m_routes(ell_max, n_max):
     """All three M_ell evaluations agree: pentagonal rearrangement,
     Gaussian-binomial sum, and partition-count differences."""
-    t0 = time.perf_counter()
-    cases = []
-    for ell in range(1, ell_max + 1):
-        cases.extend(_m_route_cases(ell, n_max))
-    return _finish(
-        "m-routes", {"n_max": n_max, "ell": [1, ell_max]}, cases, t0
+    return _report(
+        "m-routes",
+        {"n_max": n_max, "ell": [1, ell_max]},
+        _m_route_cases(TableStore(), range(1, ell_max + 1), n_max),
     )
 
 
@@ -528,127 +545,58 @@ def verify_m_routes(ell_max, n_max):
 
 
 def _suite_jobs(config):
-    enum_n = min(config.enum_cap, config.n_max)
+    """(suite id, job) in SUITE_ORDER; every job reads one shared TableStore."""
+    tables = TableStore()
+    n_max = config.n_max
+    enum_n = min(config.enum_cap, n_max)
     ks = list(config.ks())
     ells = list(config.ells())
-
-    def thmgf():
-        t0 = time.perf_counter()
-        cases = list(_thmgf_cases(enum_n, ks, config.all_residues))
-        return _finish(
-            "thmgf",
+    # the two sign rules coincide for ell=1, so the demonstration
+    # needs ell >= 2 and some n; otherwise the check is vacuous
+    ell_top = ells[-1] if ells else 0
+    if ell_top < 2 or n_max < 1:
+        bad_exponent = (
+            {"n_max": n_max, "ell": list(config.ell_range), "mode": "witness"},
+            (),
+        )
+    else:
+        bad_exponent = (
+            {"n_max": n_max, "k": [2, 2], "ell": [1, ell_top], "mode": "witness"},
+            _bad_exponent_witness_cases(tables, n_max, ell_top),
+        )
+    suites = {
+        "thmgf": (
             {"n_max": enum_n, "k": list(config.k_range), "all_residues": config.all_residues},
-            cases,
-            t0,
-        )
-
-    def thmcomb():
-        t0 = time.perf_counter()
-        cases = list(_thmcomb_cases(config.n_max, ks, config.all_residues))
-        return _finish(
-            "thmcomb",
-            {"n_max": config.n_max, "k": list(config.k_range)},
-            cases,
-            t0,
-        )
-
-    def trunc():
-        t0 = time.perf_counter()
-        cases = []
-        m_tabs = {ell: stats.m_ell_table(ell, config.n_max) for ell in ells}
-        for k in ks:
-            b_tab = stats.b_k_table(k, config.n_max)
-            for ell in ells:
-                cases.extend(
-                    _trunc_cases(k, ell, config.n_max, b_tab, m_tabs[ell])
-                )
-        return _finish(
-            "trunc",
-            {"n_max": config.n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
-            cases,
-            t0,
-        )
-
-    def trunc_corollaries():
-        t0 = time.perf_counter()
-        cases = []
-        for k in ks:
-            b_tab = stats.b_k_table(k, config.n_max)
-            cases.extend(
-                _trunc_corollary_cases(k, ells, config.n_max, b_tab)
-            )
-        return _finish(
-            "trunc-corollaries",
-            {"n_max": config.n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
-            cases,
-            t0,
-        )
-
-    def gen17():
-        t0 = time.perf_counter()
-        cases = []
-        mp_tabs = {ell: stats.mp_ell_table(ell, config.n_max) for ell in ells}
-        for k in ks:
-            b_tab = stats.b_k_table(k, config.n_max)
-            c_tab = stats.c_k_table(k, config.n_max)
-            for ell in ells:
-                cases.extend(
-                    _gen17_cases(
-                        k, ell, config.n_max, b_tab, c_tab, mp_tabs[ell], False
-                    )
-                )
-        return _finish(
-            "gen17",
-            {"n_max": config.n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
-            cases,
-            t0,
-        )
-
-    def overpartitions():
-        t0 = time.perf_counter()
-        cases = list(_overpartition_cases(ks, enum_n))
-        return _finish(
-            "overpartitions",
+            _thmgf_cases(tables, enum_n, ks, config.all_residues),
+        ),
+        "thmcomb": (
+            {"n_max": n_max, "k": list(config.k_range)},
+            _thmcomb_cases(tables, n_max, ks, config.all_residues),
+        ),
+        "trunc": (
+            {"n_max": n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
+            _trunc_cases(tables, ks, ells, n_max),
+        ),
+        "trunc-corollaries": (
+            {"n_max": n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
+            _trunc_corollary_cases(tables, ks, ells, n_max),
+        ),
+        "gen17": (
+            {"n_max": n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
+            _gen17_cases(tables, ks, ells, n_max),
+        ),
+        "overpartitions": (
             {"n_max": enum_n, "k": list(config.k_range)},
-            cases,
-            t0,
-        )
-
-    def m_routes():
-        t0 = time.perf_counter()
-        cases = []
-        for ell in ells:
-            cases.extend(_m_route_cases(ell, config.n_max))
-        return _finish(
-            "m-routes",
-            {"n_max": config.n_max, "ell": list(config.ell_range)},
-            cases,
-            t0,
-        )
-
-    def bad_exponent():
-        # the two sign rules coincide for ell=1, so the demonstration
-        # needs ell >= 2 and some n; otherwise the check is vacuous
-        ell_top = ells[-1] if ells else 0
-        if ell_top < 2 or config.n_max < 1:
-            return VerificationReport(
-                "bad-exponent",
-                {"n_max": config.n_max, "ell": list(config.ell_range), "mode": "witness"},
-                0,
-                [],
-                0.0,
-            )
-        return bad_exponent_witness_report(config.n_max, ell_top)
-
+            _overpartition_cases(ks, enum_n),
+        ),
+        "m-routes": (
+            {"n_max": n_max, "ell": list(config.ell_range)},
+            _m_route_cases(tables, ells, n_max),
+        ),
+        "bad-exponent": bad_exponent,
+    }
     return [
-        ("thmgf", thmgf),
-        ("thmcomb", thmcomb),
-        ("trunc", trunc),
-        ("trunc-corollaries", trunc_corollaries),
-        ("gen17", gen17),
-        ("overpartitions", overpartitions),
-        ("m-routes", m_routes),
-        ("bad-exponent", bad_exponent),
+        (sid, functools.partial(_report, sid, *suites[sid])) for sid in SUITE_ORDER
     ]
 
 

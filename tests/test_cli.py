@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,40 @@ def test_export_unwritable_exit_3(capsys):
         capsys, "export", "--stats", "q", "--n-max", "5", "--out", "/no/way.json"
     )
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# golden output: a change that keeps these bytes is a safe refactor
+
+GOLDEN_VERIFY_ALL_JSON = (
+    "8e1a4da6242b010f05ac62f11c4bf641ef8bea56aa21650aa82e00096c387793"
+)
+GOLDEN_EXPORT_N120 = (
+    "e4ca583bc84b9528559f44373dd4ecbe572b45abd060f4c3df498ac22c15b047"
+)
+
+
+def sha256_of_output(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_all_json_is_golden(capsys, threads):
+    digest = sha256_of_output(
+        capsys, "verify", "all", "--format", "json", "--threads", threads
+    )
+    assert digest == GOLDEN_VERIFY_ALL_JSON
+
+
+def test_export_every_table_is_golden(capsys):
+    digest = sha256_of_output(
+        capsys,
+        "export", "--stats", "a,b,c,m,mp,q,p", "--k", "1..5", "--ell", "3",
+        "--n-max", "120",
+    )
+    assert digest == GOLDEN_EXPORT_N120
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 overpartitions, subset counts."""
 
 import itertools
+import math
 import sys
 import threading
 import time
@@ -174,6 +175,26 @@ def test_statistics_past_the_sweep_bound_match_the_series(monkeypatch):
         assert b_k(n, 3, cap=n_max) == b_table[n], n
 
 
+def test_ascending_lookups_widen_the_cache_geometrically(monkeypatch):
+    # each miss past the cached n at least doubles it, so a cold ascending
+    # loop runs O(log n) passes, not one pass per n
+    n_max = 200
+    real = enumeration.stat_sum_tables
+    passes = []
+
+    def recording(n, k):
+        passes.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(enumeration, "stat_sum_tables", recording)
+    monkeypatch.setattr(enumeration, "_stat_cache", None)
+    values = [b_k(n, 3, cap=n_max) for n in range(1, n_max + 1)]
+    assert len(passes) <= math.ceil(math.log2(n_max)) + 1, passes
+    # the widening stops at the cap, and every value is the DP's
+    assert passes[-1] == (n_max, 3)
+    assert values == real(n_max, 3)[1][2][1:]
+
+
 def test_statistics_cache_under_threads(monkeypatch):
     # verify suites on threads share the a/b cache: every lookup must read
     # the DP's value, and each pass must widen the cache, so no two threads
@@ -191,9 +212,13 @@ def test_statistics_cache_under_threads(monkeypatch):
         return real(n, k)
 
     def worker(seed):
+        # a miss widens the cache geometrically up to the cap, so with the
+        # cap at n_max the last pass is exactly the widest request
         order = requests[seed:] + requests[:seed]
         for n, k in (order[::-1] if seed % 2 else order):
-            if b_k(n, k) != B[k - 1][n] or a_kp(n, k, n % k) != A[k - 1][n % k][n]:
+            b = b_k(n, k, cap=n_max)
+            a = a_kp(n, k, n % k, cap=n_max)
+            if b != B[k - 1][n] or a != A[k - 1][n % k][n]:
                 wrong.append((n, k))
 
     monkeypatch.setattr(enumeration, "stat_sum_tables", recording)

@@ -93,6 +93,32 @@ def test_a_table_param_validation():
         a_kp_table(3, 3, 5)
 
 
+def test_a_table_equals_the_generating_function_product():
+    # the table scales shifted partition series and divides twice by
+    # (1 - q^k); it must equal the product P * (p q^p + (k-p) q^(p+k))
+    # * (1 - q^k)^-2 coefficient for coefficient, also where p + k or p
+    # runs past the truncation order
+    for order in (0, 1, 7, 200):
+        gf = partition_gf(order)
+        for k in range(1, 7):
+            inv_sq = (
+                TruncatedSeries.one(order)
+                .mul_binomial(-1, k)
+                .mul_binomial(-1, k)
+                .invert()
+            )
+            for p in range(k):
+                numerator = TruncatedSeries.monomial(
+                    p, p, order
+                ) + TruncatedSeries.monomial(k - p, p + k, order)
+                product = gf * numerator * inv_sq
+                assert a_kp_table(k, p, order).values == product.coeffs, (
+                    order,
+                    k,
+                    p,
+                )
+
+
 def test_a_even_odd_closed_forms():
     # a_{2,0} = 2q^2/(1-q^2)^2 / (q;q)_inf and
     # a_{2,1} = q(1+q^2)/(1-q^2)^2 / (q;q)_inf

@@ -1,6 +1,8 @@
 """Verification suites: spot cells, passing grids, fault injection,
 report plumbing."""
 
+from collections import Counter
+
 import pytest
 
 from partitionlab import enumeration, stats, verify
@@ -171,7 +173,8 @@ def test_bad_exponent_witness_report_passes_when_witness_exists():
 # fault injection
 
 
-def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
+def corrupt_b_tables(monkeypatch):
+    # every b_k table reads one too many at n = 7
     real = stats.b_k_table
 
     def corrupted(k, n_max):
@@ -182,6 +185,10 @@ def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
         return stats.StatTable(table.stat_id, table.params, tuple(values))
 
     monkeypatch.setattr(stats, "b_k_table", corrupted)
+
+
+def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
+    corrupt_b_tables(monkeypatch)
     assert not verify_trunc(2, 1, 30).passed
     assert not verify_thmgf(12, 2).passed
     # suites that never touch the b tables stay green
@@ -207,6 +214,73 @@ def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
     first = report.first_failure
     assert (first.identity_id, first.params) == ("P1", {"k": 1, "n": 7})
     assert verify_thmcomb(10, 2).passed
+
+
+# ---------------------------------------------------------------------------
+# the table store of a run
+
+SUITES_READING_B = ("thmgf", "thmcomb", "trunc", "trunc-corollaries", "gen17")
+
+
+def count_table_builds(monkeypatch):
+    """Wrap every stats table function; return the Counter of its
+    (name, args) calls."""
+    builds = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            builds[(name, args)] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in dir(stats):
+        if name.endswith("_table"):
+            monkeypatch.setattr(stats, name, counting(name, getattr(stats, name)))
+    return builds
+
+
+def test_run_all_builds_each_table_once(monkeypatch):
+    builds = count_table_builds(monkeypatch)
+    reports = run_all(RunConfig(n_max=60, k_range=(1, 5), threads=1))
+    assert all(r.passed for r in reports)
+    repeated = {key: n for key, n in builds.items() if n > 1}
+    assert repeated == {}
+    m_builds = sorted(args for (name, args) in builds if name == "m_ell_table")
+    assert m_builds == [(1, 60), (2, 60), (3, 60)]
+    # the suites that read b_k share its table at n_max
+    assert builds[("b_k_table", (3, 60))] == 1
+
+
+def test_store_serves_every_suite_that_reads_b(monkeypatch):
+    corrupt_b_tables(monkeypatch)
+    reports = {r.suite_id: r for r in run_all(RunConfig(n_max=30, enum_cap=12))}
+    for sid in SUITES_READING_B:
+        assert not reports[sid].passed, sid
+    assert reports["m-routes"].passed
+    assert reports["overpartitions"].passed
+
+
+def test_no_table_outlives_a_run(monkeypatch):
+    config = RunConfig(n_max=20, enum_cap=10)
+    assert all(r.passed for r in run_all(config))
+    corrupt_b_tables(monkeypatch)
+    reports = {r.suite_id: r for r in run_all(config)}
+    assert all(not reports[sid].passed for sid in SUITES_READING_B)
+    monkeypatch.undo()
+    assert all(r.passed for r in run_all(config))
+
+
+def test_table_store_builds_on_first_request_only(monkeypatch):
+    builds = count_table_builds(monkeypatch)
+    tables = verify.TableStore()
+    first = tables.get("m_ell_table", 2, 30)
+    assert tables.get("m_ell_table", 2, 30) is first
+    assert tables.get("m_ell_table", 2, 31) is not first
+    assert builds == Counter({("m_ell_table", (2, 30)): 1, ("m_ell_table", (2, 31)): 1})
+    # every public suite makes its own store
+    assert verify_m_routes(2, 30).passed
+    assert builds[("m_ell_table", (2, 30))] == 2
 
 
 # ---------------------------------------------------------------------------
