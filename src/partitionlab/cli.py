@@ -178,8 +178,6 @@ def _build_config(args):
         all_residues=not args.p_zero_only,
         enum_cap=args.enum_cap,
         subset_cap=args.subset_cap,
-        output_format=args.format,
-        output_path=args.out,
         threads=args.threads,
     )
     try:

@@ -139,7 +139,7 @@ def _add_scaled(row, v, count, shift):
 
 # the a/b tables of the widest stat_sum_tables pass so far, as
 # (n_max, k_max, A, B); one pass serves every n <= n_max and k <= k_max.
-# Suites run on threads share it; the lock keeps a narrower pass from
+# Callers' own threads may share it; the lock keeps a narrower pass from
 # replacing a wider one, and two threads from running the same pass.
 _stat_cache = None
 _stat_lock = threading.Lock()

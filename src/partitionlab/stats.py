@@ -21,9 +21,6 @@ from .series import (
     triangular_number,
 )
 
-STAT_IDS = ("a", "b", "c", "m", "mp", "q", "p")
-
-
 @dataclass
 class StatTable:
     """A statistic's values indexed by n = 0..n_max.

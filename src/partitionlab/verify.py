@@ -8,11 +8,10 @@ thrown: a failing identity is data (the counterexample), not an error.
 All equalities are exact integer comparisons; there are no tolerances.
 """
 
-import functools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import isqrt
 
 from . import enumeration, kernels, stats
 from .series import (
@@ -45,17 +44,6 @@ IDENTITY_RELATIONS = {
     "PfT2": EQUALITY,
     "BadExponent": EQUALITY,
 }
-
-SUITE_ORDER = (
-    "thmgf",
-    "thmcomb",
-    "trunc",
-    "trunc-corollaries",
-    "gen17",
-    "overpartitions",
-    "m-routes",
-    "bad-exponent",
-)
 
 
 @dataclass
@@ -99,9 +87,7 @@ class RunConfig:
     all_residues: bool = True
     enum_cap: int = 30
     subset_cap: int = 12
-    output_format: str = "text"
-    output_path: str | None = None
-    threads: int = 1
+    threads: int = 1  # accepted and validated; suites run serially
 
     def validate(self):
         if self.n_max < 0:
@@ -116,14 +102,16 @@ class RunConfig:
             raise ValueError("n_max must be >= the largest k")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.output_format not in ("text", "json", "csv"):
-            raise ValueError("unknown output format %r" % self.output_format)
 
     def ks(self):
         return range(self.k_range[0], self.k_range[1] + 1)
 
     def ells(self):
         return range(self.ell_range[0], self.ell_range[1] + 1)
+
+    def enum_n_max(self):
+        """The n bound of the enumeration-backed suites."""
+        return min(self.enum_cap, self.n_max)
 
 
 def _case(identity_id, params, lhs, rhs):
@@ -157,11 +145,6 @@ class TableStore:
     function is looked up on ``stats`` at call time, so a patched or
     traced replacement is the one that runs.  Each run makes its own
     store, so no table outlives the run.
-
-    Suites on threads share a store without a lock: two of them may miss
-    on the same key at once and both build the table.  The two tables
-    are identical, so either may be kept, and the work never exceeds
-    that of a run without the store.
     """
 
     def __init__(self):
@@ -175,49 +158,62 @@ class TableStore:
         return table
 
 
+def _run_suite(suite_id, config, tables=None):
+    """One suite's report at config, reading tables (default: a fresh store)."""
+    cases, describe = SUITES[suite_id]
+    if tables is None:
+        tables = TableStore()
+    return _report(suite_id, describe(config), cases(tables, config))
+
+
 # ---------------------------------------------------------------------------
 # generating functions vs. enumeration
 
 
-def _thmgf_cases(tables, n_max, ks, all_residues):
-    ks = list(ks)
+def _thmgf_cases(tables, config):
+    n_max = config.enum_n_max()
+    ks = list(config.ks())
     if n_max >= 1 and ks:
         enumeration.warm_statistics_cache(n_max, max(ks))
     for k in ks:
         b_tab = tables.get("b_k_table", k, n_max)
-        p_top = k if all_residues else 1
+        p_top = k if config.all_residues else 1
         a_tabs = [tables.get("a_kp_table", k, p, n_max) for p in range(p_top)]
         for n in range(1, n_max + 1):
             yield _case(
-                "ThmGF-b", {"k": k, "n": n}, b_tab[n], enumeration.b_k(n, k)
+                "ThmGF-b",
+                {"k": k, "n": n},
+                b_tab[n],
+                enumeration.b_k(n, k, cap=n_max),
             )
             yield _case(
-                "ThmGF-a", {"k": k, "n": n}, a_tabs[0][n], enumeration.a_k(n, k)
+                "ThmGF-a",
+                {"k": k, "n": n},
+                a_tabs[0][n],
+                enumeration.a_k(n, k, cap=n_max),
             )
             for p in range(1, p_top):
                 yield _case(
                     "ThmGF-ap",
                     {"k": k, "p": p, "n": n},
                     a_tabs[p][n],
-                    enumeration.a_kp(n, k, p),
+                    enumeration.a_kp(n, k, p, cap=n_max),
                 )
 
 
 def verify_thmgf(n_max, k_max, all_residues=True):
     """Check the three closed-form tables against brute-force enumeration."""
-    return _report(
-        "thmgf",
-        {"n_max": n_max, "k": [1, k_max], "all_residues": all_residues},
-        _thmgf_cases(TableStore(), n_max, range(1, k_max + 1), all_residues),
-    )
+    config = RunConfig(n_max, (1, k_max), all_residues=all_residues, enum_cap=n_max)
+    return _run_suite("thmgf", config)
 
 
 # ---------------------------------------------------------------------------
 # linear relations between a and b statistics
 
 
-def _thmcomb_cases(tables, n_max, ks, all_residues):
-    for k in ks:
+def _thmcomb_cases(tables, config):
+    n_max = config.n_max
+    for k in config.ks():
         order = n_max + k + 1  # the shifted identity reads b_k(n + k - p)
         b_tab = tables.get("b_k_table", k, order)
         a0_tab = tables.get("a_k_table", k, order)
@@ -225,7 +221,7 @@ def _thmcomb_cases(tables, n_max, ks, all_residues):
             yield _case(
                 "ThmComb-1", {"k": k, "n": n}, a0_tab[n], k * b_tab[n]
             )
-        if not all_residues:
+        if not config.all_residues:
             continue
         for p in range(1, k):
             ap_tab = tables.get("a_kp_table", k, p, order)
@@ -238,11 +234,8 @@ def _thmcomb_cases(tables, n_max, ks, all_residues):
 
 def verify_thmcomb(n_max, k_max, all_residues=True):
     """Check a_k = k*b_k and a_{k,p}(n) = (k-p) b_k(n-p) + p b_k(n+k-p)."""
-    return _report(
-        "thmcomb",
-        {"n_max": n_max, "k": [1, k_max], "all_residues": all_residues},
-        _thmcomb_cases(TableStore(), n_max, range(1, k_max + 1), all_residues),
-    )
+    config = RunConfig(n_max, (1, k_max), all_residues=all_residues)
+    return _run_suite("thmcomb", config)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +259,11 @@ def _trunc_lhs(b_tab, k, ell, n):
     )
 
 
-def _trunc_cases(tables, ks, ells, n_max):
-    for k in ks:
+def _trunc_cases(tables, config):
+    n_max = config.n_max
+    for k in config.ks():
         b_tab = tables.get("b_k_table", k, n_max)
-        for ell in ells:
+        for ell in config.ells():
             m_tab = tables.get("m_ell_table", ell, n_max)
             for n in range(n_max + 1):
                 rhs = sum(j * m_tab[n - k * j] for j in range(1, n // k + 1))
@@ -284,17 +278,14 @@ def _trunc_cases(tables, ks, ells, n_max):
 def verify_trunc(k, ell, n_max):
     """Truncated pentagonal identity: the alternating b_k sum minus the
     divisor weight, signed, equals sum_j j * M_ell(n - kj)."""
-    return _report(
-        "trunc",
-        {"n_max": n_max, "k": [k, k], "ell": [ell, ell]},
-        _trunc_cases(TableStore(), [k], [ell], n_max),
-    )
+    return _run_suite("trunc", RunConfig(n_max, (k, k), (ell, ell)))
 
 
-def _trunc_corollary_cases(tables, ks, ells, n_max):
-    for k in ks:
+def _trunc_corollary_cases(tables, config):
+    n_max = config.n_max
+    for k in config.ks():
         b_tab = tables.get("b_k_table", k, n_max)
-        for ell in ells:
+        for ell in config.ells():
             for n in range(n_max + 1):
                 yield _case(
                     "Trunc-nonneg",
@@ -303,23 +294,11 @@ def _trunc_corollary_cases(tables, ks, ells, n_max):
                     0,
                 )
         for n in range(n_max + 1):
-            total = 0
-            j = 0
-            while True:
-                g_pos = pentagonal_number(j)
-                g_neg = pentagonal_number(-j)
-                if g_pos > n and g_neg > n:
-                    break
-                sign = -1 if j % 2 else 1
-                if g_pos <= n:
-                    total += sign * b_tab[n - g_pos]
-                if j and g_neg <= n:
-                    total += sign * b_tab[n - g_neg]
-                j += 1
+            # the bilateral sum: a pentagonal number <= n has |j| <= isqrt(n)
             yield _case(
                 "Trunc-infsum",
                 {"k": k, "n": n},
-                total,
+                _pentagonal_alternating_sum(b_tab, isqrt(n) + 1, n),
                 stats.divisor_term(n, k),
             )
 
@@ -327,11 +306,7 @@ def _trunc_corollary_cases(tables, ks, ells, n_max):
 def verify_trunc_corollaries(k, ell_max, n_max):
     """Nonnegativity of the truncated pentagonal expression for every
     ell <= ell_max, and the bilateral sum collapsing to n/k * [k | n]."""
-    return _report(
-        "trunc-corollaries",
-        {"n_max": n_max, "k": [k, k], "ell": [1, ell_max]},
-        _trunc_corollary_cases(TableStore(), [k], range(1, ell_max + 1), n_max),
-    )
+    return _run_suite("trunc-corollaries", RunConfig(n_max, (k, k), (1, ell_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +327,30 @@ def _theta_alternating_sum(b_tab, ell, n, corrected=True):
     return total
 
 
+def _gen17_sub(c_tab, k, n, indicator_form):
+    return 0 if indicator_form and n % k != 0 else c_tab[n]
+
+
 def _gen17_lhs(b_tab, c_tab, k, ell, n, corrected=True, indicator_form=False):
-    sub = c_tab[n]
-    if indicator_form and n % k != 0:
-        sub = 0
+    sub = _gen17_sub(c_tab, k, n, indicator_form)
     sign = -1 if ell % 2 == 0 else 1
     return sign * (_theta_alternating_sum(b_tab, ell, n, corrected) - sub)
 
 
-def _gen17_cases(tables, ks, ells, n_max, indicator_form=False):
-    for k in ks:
+def _gen17_rhs(tables, k, ell, n_max):
+    # rhs[n] = sum_j c_k(j) MP_ell(n - j)
+    c_values = tables.get("c_k_table", k, n_max).values
+    mp_values = tables.get("mp_ell_table", ell, n_max).values
+    return kernels.convolve(list(c_values), list(mp_values))
+
+
+def _gen17_cases(tables, config, indicator_form=False):
+    n_max = config.n_max
+    for k in config.ks():
         b_tab = tables.get("b_k_table", k, n_max)
         c_tab = tables.get("c_k_table", k, n_max)
-        for ell in ells:
-            mp_tab = tables.get("mp_ell_table", ell, n_max)
-            # rhs[n] = sum_j c_k(j) MP_ell(n - j)
-            rhs = kernels.convolve(list(c_tab.values), list(mp_tab.values))
+        for ell in config.ells():
+            rhs = _gen17_rhs(tables, k, ell, n_max)
             for n in range(n_max + 1):
                 lhs = _gen17_lhs(
                     b_tab, c_tab, k, ell, n, indicator_form=indicator_form
@@ -375,16 +358,13 @@ def _gen17_cases(tables, ks, ells, n_max, indicator_form=False):
                 yield _case("Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs, rhs[n])
                 yield _case("Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs, 0)
             for n in range(n_max + 1):
-                total = 0
-                j = 0
-                while triangular_number(j) <= n:
-                    t = triangular_number(j)
-                    total += stats.triangular_weight_sign(j) * b_tab[n - t]
-                    j += 1
-                sub = c_tab[n]
-                if indicator_form and n % k != 0:
-                    sub = 0
-                yield _case("Gen17-infsum", {"k": k, "n": n}, total, sub)
+                # the full sum: j < 2(n + 1) reaches every triangular number <= n
+                yield _case(
+                    "Gen17-infsum",
+                    {"k": k, "n": n},
+                    _theta_alternating_sum(b_tab, n + 1, n),
+                    _gen17_sub(c_tab, k, n, indicator_form),
+                )
 
 
 def verify_gen17(k, ell, n_max, indicator_form=False):
@@ -396,15 +376,11 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
     that variant provably fails for k >= 3 (e.g. k=3, n=5) and is kept as
     a diagnostic, not as the default identity.
     """
+    config = RunConfig(n_max, (k, k), (ell, ell))
     return _report(
         "gen17",
-        {
-            "n_max": n_max,
-            "k": [k, k],
-            "ell": [ell, ell],
-            "indicator_form": indicator_form,
-        },
-        _gen17_cases(TableStore(), [k], [ell], n_max, indicator_form),
+        dict(_k_ell_range(config), indicator_form=indicator_form),
+        _gen17_cases(TableStore(), config, indicator_form),
     )
 
 
@@ -417,13 +393,7 @@ def _bad_exponent_cells(tables, n_max, ell_max):
     (-1)^j instead of (-1)^(j(j+1)/2), yielding (n, ell, lhs, rhs)."""
     b_tab = tables.get("b_k_table", 2, n_max)
     c_tab = tables.get("c_k_table", 2, n_max)
-    c_values = list(c_tab.values)
-    rhs = {
-        ell: kernels.convolve(
-            c_values, list(tables.get("mp_ell_table", ell, n_max).values)
-        )
-        for ell in range(1, ell_max + 1)
-    }
+    rhs = {ell: _gen17_rhs(tables, 2, ell, n_max) for ell in range(1, ell_max + 1)}
     for n in range(1, n_max + 1):
         for ell in range(1, ell_max + 1):
             lhs = _gen17_lhs(b_tab, c_tab, 2, ell, n, corrected=False)
@@ -459,8 +429,25 @@ def uncorrected_exponent_report(n_max, ell_max=3):
     )
 
 
-def _bad_exponent_witness_cases(tables, n_max, ell_max):
-    witness = _bad_exponent_witness(tables, n_max, ell_max)
+def _witness_ell_top(config):
+    # the two sign rules coincide for ell=1, so the demonstration needs
+    # ell >= 2 and some n; otherwise the check is vacuous (None)
+    lo, hi = config.ell_range
+    return hi if lo <= hi and hi >= 2 and config.n_max >= 1 else None
+
+
+def _bad_exponent_witness_range(config):
+    n_max, ell_top = config.n_max, _witness_ell_top(config)
+    if ell_top is None:
+        return {"n_max": n_max, "ell": list(config.ell_range), "mode": "witness"}
+    return {"n_max": n_max, "k": [2, 2], "ell": [1, ell_top], "mode": "witness"}
+
+
+def _bad_exponent_witness_cases(tables, config):
+    ell_top = _witness_ell_top(config)
+    if ell_top is None:
+        return
+    witness = _bad_exponent_witness(tables, config.n_max, ell_top)
     if witness is None:
         yield _case("BadExponent", {"witness_found": 0}, 0, 1)
     else:
@@ -472,24 +459,22 @@ def _bad_exponent_witness_cases(tables, n_max, ell_max):
 
 def bad_exponent_witness_report(n_max, ell_max=3):
     """Meta-check for full runs: passes when a counterexample to the
-    uncorrected variant exists (i.e. the sign correction is substantive)."""
-    return _report(
-        "bad-exponent",
-        {"n_max": n_max, "k": [2, 2], "ell": [1, ell_max], "mode": "witness"},
-        _bad_exponent_witness_cases(TableStore(), n_max, ell_max),
-    )
+    uncorrected variant exists (i.e. the sign correction is substantive);
+    vacuous, with no case, when ell_max < 2 or n_max < 1."""
+    return _run_suite("bad-exponent", RunConfig(n_max, ell_range=(1, ell_max)))
 
 
 # ---------------------------------------------------------------------------
 # overpartition identities
 
 
-def _overpartition_cases(ks, n_max):
+def _overpartition_cases(tables, config):
     # P1 compares a walk over partitions() with the part-value DP behind
     # a_k, which never calls partitions(): two independent counts.  P2
     # builds its series here, not from stats.b_k_table, so the suite
-    # shares no table with the others
-    ks = list(ks)
+    # reads no table of the store
+    n_max = config.enum_n_max()
+    ks = list(config.ks())
     if n_max >= 1 and ks:
         enumeration.warm_statistics_cache(n_max, max(ks))
     counts = [
@@ -500,7 +485,10 @@ def _overpartition_cases(ks, n_max):
         for n, by_k in enumerate(counts, start=1):
             overlined_total, count_a = by_k[k]
             yield _case(
-                "P1", {"k": k, "n": n}, overlined_total, enumeration.a_k(n, k)
+                "P1",
+                {"k": k, "n": n},
+                overlined_total,
+                enumeration.a_k(n, k, cap=n_max),
             )
             yield _case("P2", {"k": k, "n": n}, count_a, a_series[n])
             yield _case("P3", {"k": k, "n": n}, overlined_total, k * count_a)
@@ -510,19 +498,16 @@ def verify_overpartition_identities(k, n_max):
     """The three marked-overpartition identities: the overlined-part total
     equals a_k(n); the colored-object count matches its product series;
     and merging colored into overlined parts is k-to-one."""
-    return _report(
-        "overpartitions",
-        {"n_max": n_max, "k": [k, k]},
-        _overpartition_cases([k], n_max),
-    )
+    return _run_suite("overpartitions", RunConfig(n_max, (k, k), enum_cap=n_max))
 
 
 # ---------------------------------------------------------------------------
 # M_ell evaluation-route agreement
 
 
-def _m_route_cases(tables, ells, n_max):
-    for ell in ells:
+def _m_route_cases(tables, config):
+    n_max = config.n_max
+    for ell in config.ells():
         # internally: pentagonal == gaussian
         primary = tables.get("m_ell_table", ell, n_max)
         pdiff = tables.get("m_ell_table_pdiff", ell, n_max)
@@ -533,93 +518,59 @@ def _m_route_cases(tables, ells, n_max):
 def verify_m_routes(ell_max, n_max):
     """All three M_ell evaluations agree: pentagonal rearrangement,
     Gaussian-binomial sum, and partition-count differences."""
-    return _report(
-        "m-routes",
-        {"n_max": n_max, "ell": [1, ell_max]},
-        _m_route_cases(TableStore(), range(1, ell_max + 1), n_max),
-    )
+    return _run_suite("m-routes", RunConfig(n_max, ell_range=(1, ell_max)))
 
 
 # ---------------------------------------------------------------------------
 # full runs
 
 
-def _suite_jobs(config):
-    """(suite id, job) in SUITE_ORDER; every job reads one shared TableStore."""
-    tables = TableStore()
-    n_max = config.n_max
-    enum_n = min(config.enum_cap, n_max)
-    ks = list(config.ks())
-    ells = list(config.ells())
-    # the two sign rules coincide for ell=1, so the demonstration
-    # needs ell >= 2 and some n; otherwise the check is vacuous
-    ell_top = ells[-1] if ells else 0
-    if ell_top < 2 or n_max < 1:
-        bad_exponent = (
-            {"n_max": n_max, "ell": list(config.ell_range), "mode": "witness"},
-            (),
-        )
-    else:
-        bad_exponent = (
-            {"n_max": n_max, "k": [2, 2], "ell": [1, ell_top], "mode": "witness"},
-            _bad_exponent_witness_cases(tables, n_max, ell_top),
-        )
-    suites = {
-        "thmgf": (
-            {"n_max": enum_n, "k": list(config.k_range), "all_residues": config.all_residues},
-            _thmgf_cases(tables, enum_n, ks, config.all_residues),
-        ),
-        "thmcomb": (
-            {"n_max": n_max, "k": list(config.k_range)},
-            _thmcomb_cases(tables, n_max, ks, config.all_residues),
-        ),
-        "trunc": (
-            {"n_max": n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
-            _trunc_cases(tables, ks, ells, n_max),
-        ),
-        "trunc-corollaries": (
-            {"n_max": n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
-            _trunc_corollary_cases(tables, ks, ells, n_max),
-        ),
-        "gen17": (
-            {"n_max": n_max, "k": list(config.k_range), "ell": list(config.ell_range)},
-            _gen17_cases(tables, ks, ells, n_max),
-        ),
-        "overpartitions": (
-            {"n_max": enum_n, "k": list(config.k_range)},
-            _overpartition_cases(ks, enum_n),
-        ),
-        "m-routes": (
-            {"n_max": n_max, "ell": list(config.ell_range)},
-            _m_route_cases(tables, ells, n_max),
-        ),
-        "bad-exponent": bad_exponent,
-    }
-    return [
-        (sid, functools.partial(_report, sid, *suites[sid])) for sid in SUITE_ORDER
-    ]
+def _k_range(config, n_max):
+    return {"n_max": n_max, "k": list(config.k_range)}
+
+
+def _k_ell_range(config):
+    return dict(_k_range(config, config.n_max), ell=list(config.ell_range))
+
+
+# suite id -> (cases, describe), in report order.  cases(tables, config)
+# yields the suite's IdentityCases, reading its tables from the run's
+# TableStore; describe(config) is the range its report records.
+SUITES = {
+    "thmgf": (
+        _thmgf_cases,
+        lambda c: dict(_k_range(c, c.enum_n_max()), all_residues=c.all_residues),
+    ),
+    "thmcomb": (_thmcomb_cases, lambda c: _k_range(c, c.n_max)),
+    "trunc": (_trunc_cases, _k_ell_range),
+    "trunc-corollaries": (_trunc_corollary_cases, _k_ell_range),
+    "gen17": (_gen17_cases, _k_ell_range),
+    "overpartitions": (_overpartition_cases, lambda c: _k_range(c, c.enum_n_max())),
+    "m-routes": (
+        _m_route_cases,
+        lambda c: {"n_max": c.n_max, "ell": list(c.ell_range)},
+    ),
+    "bad-exponent": (_bad_exponent_witness_cases, _bad_exponent_witness_range),
+}
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_all(config=None, suites=None):
-    """Run every verification suite at the configured ranges.
+    """Run every verification suite (or those named in suites) at the
+    configured ranges, one after another over one TableStore.
 
-    Reports come back in the fixed SUITE_ORDER regardless of thread
-    count, so identical configs yield identical output.
+    Reports come back in SUITE_ORDER, so identical configs yield
+    identical output; config.threads is validated but does not change
+    how the suites run.
     """
     config = config or RunConfig()
     config.validate()
-    jobs = [
-        (sid, fn)
-        for sid, fn in _suite_jobs(config)
+    tables = TableStore()
+    return [
+        _run_suite(sid, config, tables)
+        for sid in SUITE_ORDER
         if suites is None or sid in suites
     ]
-    if config.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [(sid, pool.submit(fn)) for sid, fn in jobs]
-            results = {sid: fut.result() for sid, fut in futures}
-    else:
-        results = {sid: fn() for sid, fn in jobs}
-    return [results[sid] for sid, _ in jobs]
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,17 @@ def test_verify_bad_exponent_below_ell_2_exit_2(capsys):
     assert (report["suite"], report["total"]) == ("bad-exponent", 0)
 
 
+def test_verify_enum_cap_above_the_sweep_cap(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "thmgf", "--n-max", "70", "--enum-cap", "65", "--k", "1..2",
+        "--format", "json",
+    )
+    assert code == 0
+    (report,) = json.loads(out)
+    assert (report["range"]["n_max"], report["total"], report["failed"]) == (65, 325, 0)
+
+
 def test_verify_json_output(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -280,12 +291,37 @@ def sha256_of_output(capsys, *argv):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_verify_all_json_is_golden(capsys, threads):
-    digest = sha256_of_output(
-        capsys, "verify", "all", "--format", "json", "--threads", threads
-    )
-    assert digest == GOLDEN_VERIFY_ALL_JSON
+@pytest.mark.parametrize(
+    "args,golden",
+    [
+        pytest.param(["--threads", "1"], GOLDEN_VERIFY_ALL_JSON, id="1"),
+        pytest.param(["--threads", "2"], GOLDEN_VERIFY_ALL_JSON, id="2"),
+        # the vacuous bad-exponent branch
+        pytest.param(
+            ["--n-max", "30", "--ell", "1..1"],
+            "85bff213a09db535e32fff9f27388b58958197627a5ce208fbb1c88e90cc0a9c",
+            id="ell-1",
+        ),
+        pytest.param(
+            ["--n-max", "10", "--k", "2..1", "--ell", "2..1"],
+            "06b7022919db73c10a5000ae7823336f6a756f2297cabfa1a3da4dff05a4340e",
+            id="empty-ranges",
+        ),
+        pytest.param(
+            ["--p-zero-only", "--k", "2..4"],
+            "f8e48a1a5014845eee1188113190ce6efcd7e068e64d30695582ab65eaacbdb0",
+            id="p-zero-only",
+        ),
+        pytest.param(
+            ["--n-max", "60", "--k", "1..6", "--enum-cap", "45"],
+            "dc4a0e7fff692955c3d9e32d6f471aac3892ead27aaa90d38076fefb387a7dfe",
+            id="enum-cap-45",
+        ),
+    ],
+)
+def test_verify_all_json_is_golden(capsys, args, golden):
+    digest = sha256_of_output(capsys, "verify", "all", "--format", "json", *args)
+    assert digest == golden
 
 
 def test_export_every_table_is_golden(capsys):

@@ -196,7 +196,7 @@ def test_ascending_lookups_widen_the_cache_geometrically(monkeypatch):
 
 
 def test_statistics_cache_under_threads(monkeypatch):
-    # verify suites on threads share the a/b cache: every lookup must read
+    # callers' threads share the a/b cache: every lookup must read
     # the DP's value, and each pass must widen the cache, so no two threads
     # run the same pass and a narrower pass never replaces a wider one
     n_max, k_max = 36, 6

@@ -284,6 +284,87 @@ def test_table_store_builds_on_first_request_only(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the suite registry
+
+# each public wrapper call, and the run_all config of the same suite
+WRAPPED_SUITES = [
+    pytest.param(
+        lambda: verify_thmgf(36, 3, all_residues=False),
+        RunConfig(n_max=36, k_range=(1, 3), all_residues=False, enum_cap=36),
+        id="thmgf",
+    ),
+    pytest.param(
+        lambda: verify_thmcomb(30, 4),
+        RunConfig(n_max=30, k_range=(1, 4)),
+        id="thmcomb",
+    ),
+    pytest.param(
+        lambda: verify_trunc(2, 3, 30),
+        RunConfig(n_max=30, k_range=(2, 2), ell_range=(3, 3)),
+        id="trunc",
+    ),
+    pytest.param(
+        lambda: verify_trunc_corollaries(3, 4, 30),
+        RunConfig(n_max=30, k_range=(3, 3), ell_range=(1, 4)),
+        id="trunc-corollaries",
+    ),
+    pytest.param(
+        lambda: verify_gen17(3, 2, 30),
+        RunConfig(n_max=30, k_range=(3, 3), ell_range=(2, 2)),
+        id="gen17",
+    ),
+    pytest.param(
+        lambda: verify_overpartition_identities(2, 32),
+        RunConfig(n_max=32, k_range=(2, 2), enum_cap=32),
+        id="overpartitions",
+    ),
+    pytest.param(
+        lambda: verify_m_routes(3, 30),
+        RunConfig(n_max=30, ell_range=(1, 3)),
+        id="m-routes",
+    ),
+    pytest.param(
+        lambda: bad_exponent_witness_report(30, 3),
+        RunConfig(n_max=30, ell_range=(1, 3)),
+        id="bad-exponent",
+    ),
+    pytest.param(
+        lambda: bad_exponent_witness_report(30, 1),
+        RunConfig(n_max=30, ell_range=(1, 1)),
+        id="bad-exponent-vacuous",
+    ),
+]
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty-b"])
+@pytest.mark.parametrize("wrapper,config", WRAPPED_SUITES)
+def test_wrappers_agree_with_run_all(monkeypatch, wrapper, config, faulty):
+    if faulty:
+        corrupt_b_tables(monkeypatch)
+    wrapped = wrapper()
+    (full,) = run_all(config, suites={wrapped.suite_id})
+    expected_range = dict(full.range_desc)
+    if wrapped.suite_id == "gen17":
+        # the wrapper's diagnostic indicator form, which run_all never uses
+        expected_range["indicator_form"] = False
+    if wrapped.suite_id == "thmcomb":
+        # the wrapper records no all_residues, as run_all's thmcomb never did
+        assert "all_residues" not in wrapped.range_desc
+    assert wrapped.range_desc == expected_range
+    assert (wrapped.total, wrapped.failures) == (full.total, full.failures)
+
+
+def test_enum_cap_above_the_sweep_cap_reaches_the_oracle(monkeypatch):
+    # the enumeration-backed suites pass their own bound to the a/b
+    # oracle as its cap, so --enum-cap may exceed the default sweep cap
+    monkeypatch.setattr(enumeration, "PARTITION_SWEEP_CAP", 10)
+    reports = {r.suite_id: r for r in run_all(RunConfig(n_max=20, enum_cap=15))}
+    assert all(r.passed for r in reports.values())
+    assert reports["thmgf"].range_desc["n_max"] == 15
+    assert reports["overpartitions"].range_desc["n_max"] == 15
+
+
+# ---------------------------------------------------------------------------
 # run_all and reports
 
 
@@ -325,8 +406,6 @@ def test_config_validation():
         RunConfig(n_max=2, k_range=(1, 5)).validate()
     with pytest.raises(ValueError):
         RunConfig(threads=0).validate()
-    with pytest.raises(ValueError):
-        RunConfig(output_format="xml").validate()
 
 
 def test_report_json_big_integers_become_strings():
