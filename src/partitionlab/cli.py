@@ -190,14 +190,14 @@ def _build_config(args):
 def cmd_verify(args):
     config = _build_config(args)
     if args.suite == "bad-exponent":
+        lo, hi = config.ell_range
+        _require(lo <= hi, "--ell range %d..%d is empty" % (lo, hi))
         _require(
-            config.ell_range[1] >= 2,
+            hi >= 2,
             "bad-exponent needs --ell to reach 2: for ell=1 the two sign "
             "rules coincide, so the sweep could not fail",
         )
-        reports = [
-            verify.uncorrected_exponent_report(config.n_max, config.ell_range[1])
-        ]
+        reports = [verify.uncorrected_exponent_report(config.n_max, hi)]
     elif args.suite == "all":
         reports = verify.run_all(config)
     else:

@@ -7,7 +7,9 @@ statistics come from a dynamic program over part values that adds up
 every partition of each total at once (`stat_sum_tables`); the others
 walk the objects one by one.  Partitions are represented as weakly
 decreasing tuples of positive integers; the empty tuple is the single
-partition of 0.
+partition of 0.  `partitions` walks them with the ZS1 generator of
+Zoghbi & Stojmenovic, in constant amortized time per partition besides
+the copy of each yielded tuple.
 
 The statistics are capped (PARTITION_SWEEP_CAP / SUBSET_SWEEP_CAP) so
 the oracle suite stays fast; pass an explicit `cap` to go further.
@@ -28,6 +30,13 @@ def partitions(n, max_part=None):
     For n=5: (5,), (4,1), (3,2), (3,1,1), (2,2,1), (2,1,1,1), (1,1,1,1,1).
     With max_part set, only partitions whose largest part is <= max_part
     are produced (same order).
+
+    This is ZS1 (Zoghbi & Stojmenovic, "Fast algorithms for generating
+    integer partitions", Int. J. Comput. Math. 70, 1998): one mutable
+    list of parts, whose entries past the current partition are all 1,
+    and the index h of its last part greater than 1.  Each successor
+    costs O(1) amortized list updates, plus the O(length) copy of the
+    yielded tuple.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -38,24 +47,40 @@ def partitions(n, max_part=None):
     if cap < 1:
         return
     full, rem = divmod(n, cap)
-    r = (cap,) * full + ((rem,) if rem else ())
-    yield r
-    while True:
-        # successor: decrement the last part exceeding 1, then refill the
-        # freed weight greedily under the new bound
-        i = len(r) - 1
-        while i >= 0 and r[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        freed = len(r) - i
-        r = r[:i] + (r[i] - 1,)
-        bound = r[-1]
-        while freed > 0:
-            take = bound if bound < freed else freed
-            r += (take,)
-            freed -= take
-        yield r
+    x = [cap] * full + [1] * (n - full)
+    m = full  # number of parts
+    if rem:
+        x[m] = rem
+        m += 1
+    if cap == 1:
+        h = -1
+    else:
+        h = full if rem > 1 else full - 1
+    yield tuple(x[:m])
+    while h >= 0:
+        if x[h] == 2:
+            # 2 becomes 1 + 1: the trailing 1 is already in place
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            # decrement x[h], then refill the freed weight t (that one
+            # plus the trailing 1s) greedily with parts <= r
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def part_multiplicities(parts):
@@ -321,26 +346,37 @@ def overpartition_counts(n, ks):
     occurring at least twice, carries d overlined objects (one per value)
     and d + d^2 - (d - t) = d^2 + t colored ones (each overlined value
     alone, or with a colored value, which may be itself only if repeated).
+    d and t come from one pass over the descending parts, which touches
+    only the ks dividing each value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ks = list(ks)
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    overlined = dict.fromkeys(ks, 0)
-    colored = dict.fromkeys(ks, 0)
+    # dividing[v]: the positions in ks of the k that divide v
+    dividing = [[i for i, k in enumerate(ks) if v % k == 0] for v in range(n + 1)]
+    width = len(ks)
+    overlined = [0] * width
+    colored = [0] * width
     for parts in partitions(n):
-        mults = part_multiplicities(parts)
-        for k in ks:
-            d = t = 0
-            for v, m in mults.items():
-                if v % k == 0:
-                    overlined[k] += v
-                    d += 1
-                    if m > 1:
-                        t += 1
-            colored[k] += d * d + t
-    return {k: (overlined[k], colored[k]) for k in ks}
+        d = [0] * width
+        t = [0] * width
+        prev = 0
+        for v in parts:
+            if v != prev:
+                prev = v
+                repeated = False
+                for i in dividing[v]:
+                    overlined[i] += v
+                    d[i] += 1
+            elif not repeated:
+                repeated = True
+                for i in dividing[v]:
+                    t[i] += 1
+        for i in range(width):
+            colored[i] += d[i] * d[i] + t[i]
+    return {k: (overlined[i], colored[i]) for i, k in enumerate(ks)}
 
 
 def mp_ell(n, ell, cap=None):

@@ -15,6 +15,7 @@ from math import isqrt
 
 from . import enumeration, kernels, stats
 from .series import (
+    TruncatedSeries,
     geometric_kernel,
     partition_gf,
     pentagonal_number,
@@ -242,21 +243,33 @@ def verify_thmcomb(n_max, k_max, all_residues=True):
 # truncated pentagonal identity
 
 
-def _pentagonal_alternating_sum(b_tab, ell, n):
-    total = 0
+def _signed_shifts(values, terms):
+    """sum of sign * q^e * values over the (e, sign) in terms, as a list
+    truncated at len(values): one O(n) pass per term."""
+    out = [0] * len(values)
+    for e, sign in terms:
+        if e < len(out):
+            out[e:] = [o + sign * v for o, v in zip(out[e:], values)]
+    return out
+
+
+def _pentagonal_terms(ell):
+    # (-1)^j q^(j(3j-1)/2) for j = -(ell-1)..ell.  Built here, not taken
+    # from series.pentagonal_series, because stats.m_ell_table builds the
+    # other side of the identity from that one
     for j in range(-(ell - 1), ell + 1):
-        g = pentagonal_number(j)
-        if g <= n:
-            term = b_tab[n - g]
-            total += -term if j % 2 else term
-    return total
+        yield pentagonal_number(j), -1 if j % 2 else 1
 
 
-def _trunc_lhs(b_tab, k, ell, n):
-    sign = -1 if ell % 2 == 0 else 1
-    return sign * (
-        _pentagonal_alternating_sum(b_tab, ell, n) - stats.divisor_term(n, k)
-    )
+def _ell_sign(ell):
+    return -1 if ell % 2 == 0 else 1
+
+
+def _truncated_pentagonal_lhs(b_tab, k, ell):
+    # per n: (-1)^(ell-1) * (truncated pentagonal sum of b_k - n/k [k | n])
+    sums = _signed_shifts(b_tab.values, _pentagonal_terms(ell))
+    sign = _ell_sign(ell)
+    return [sign * (s - stats.divisor_term(n, k)) for n, s in enumerate(sums)]
 
 
 def _trunc_cases(tables, config):
@@ -265,14 +278,17 @@ def _trunc_cases(tables, config):
         b_tab = tables.get("b_k_table", k, n_max)
         for ell in config.ells():
             m_tab = tables.get("m_ell_table", ell, n_max)
+            # sum_j j M_ell(n - kj) is the coefficient of q^n in
+            # M_ell * q^k / (1 - q^k)^2
+            rhs = (
+                TruncatedSeries(m_tab.values)
+                .shifted(k)
+                .div_binomial(-1, k)
+                .div_binomial(-1, k)
+            ).coeffs
+            lhs = _truncated_pentagonal_lhs(b_tab, k, ell)
             for n in range(n_max + 1):
-                rhs = sum(j * m_tab[n - k * j] for j in range(1, n // k + 1))
-                yield _case(
-                    "Trunc-eq",
-                    {"k": k, "ell": ell, "n": n},
-                    _trunc_lhs(b_tab, k, ell, n),
-                    rhs,
-                )
+                yield _case("Trunc-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n])
 
 
 def verify_trunc(k, ell, n_max):
@@ -286,20 +302,15 @@ def _trunc_corollary_cases(tables, config):
     for k in config.ks():
         b_tab = tables.get("b_k_table", k, n_max)
         for ell in config.ells():
+            lhs = _truncated_pentagonal_lhs(b_tab, k, ell)
             for n in range(n_max + 1):
-                yield _case(
-                    "Trunc-nonneg",
-                    {"k": k, "ell": ell, "n": n},
-                    _trunc_lhs(b_tab, k, ell, n),
-                    0,
-                )
+                yield _case("Trunc-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0)
+        # the bilateral sum: a pentagonal number <= n_max has
+        # |j| <= isqrt(n_max), so ell = isqrt(n_max) + 1 reaches every one
+        infsum = _signed_shifts(b_tab.values, _pentagonal_terms(isqrt(n_max) + 1))
         for n in range(n_max + 1):
-            # the bilateral sum: a pentagonal number <= n has |j| <= isqrt(n)
             yield _case(
-                "Trunc-infsum",
-                {"k": k, "n": n},
-                _pentagonal_alternating_sum(b_tab, isqrt(n) + 1, n),
-                stats.divisor_term(n, k),
+                "Trunc-infsum", {"k": k, "n": n}, infsum[n], stats.divisor_term(n, k)
             )
 
 
@@ -313,28 +324,30 @@ def verify_trunc_corollaries(k, ell_max, n_max):
 # truncated theta identity
 
 
-def _theta_alternating_sum(b_tab, ell, n, corrected=True):
-    total = 0
+def _theta_terms(ell, corrected=True):
+    # sign(j) q^(j(j+1)/2) for j = 0..2*ell-1; the sign is (-1)^(j(j+1)/2),
+    # or (-1)^j uncorrected.  Not series.theta_truncated, for the same
+    # reason as above: stats.mp_ell_table builds from that one
     for j in range(2 * ell):
-        t = triangular_number(j)
-        if t > n:
-            break
         if corrected:
             sign = stats.triangular_weight_sign(j)
         else:
             sign = -1 if j % 2 else 1
-        total += sign * b_tab[n - t]
-    return total
+        yield triangular_number(j), sign
 
 
 def _gen17_sub(c_tab, k, n, indicator_form):
     return 0 if indicator_form and n % k != 0 else c_tab[n]
 
 
-def _gen17_lhs(b_tab, c_tab, k, ell, n, corrected=True, indicator_form=False):
-    sub = _gen17_sub(c_tab, k, n, indicator_form)
-    sign = -1 if ell % 2 == 0 else 1
-    return sign * (_theta_alternating_sum(b_tab, ell, n, corrected) - sub)
+def _truncated_theta_lhs(b_tab, c_tab, k, ell, corrected=True, indicator_form=False):
+    # per n: (-1)^(ell-1) * (truncated theta sum of b_k - c_k(n))
+    sums = _signed_shifts(b_tab.values, _theta_terms(ell, corrected))
+    sign = _ell_sign(ell)
+    return [
+        sign * (s - _gen17_sub(c_tab, k, n, indicator_form))
+        for n, s in enumerate(sums)
+    ]
 
 
 def _gen17_rhs(tables, k, ell, n_max):
@@ -349,20 +362,21 @@ def _gen17_cases(tables, config, indicator_form=False):
     for k in config.ks():
         b_tab = tables.get("b_k_table", k, n_max)
         c_tab = tables.get("c_k_table", k, n_max)
+        # the full sum: j < 2(n_max + 1) reaches every triangular number <= n_max
+        infsum = _signed_shifts(b_tab.values, _theta_terms(n_max + 1))
         for ell in config.ells():
             rhs = _gen17_rhs(tables, k, ell, n_max)
+            lhs = _truncated_theta_lhs(
+                b_tab, c_tab, k, ell, indicator_form=indicator_form
+            )
             for n in range(n_max + 1):
-                lhs = _gen17_lhs(
-                    b_tab, c_tab, k, ell, n, indicator_form=indicator_form
-                )
-                yield _case("Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs, rhs[n])
-                yield _case("Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs, 0)
+                yield _case("Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n])
+                yield _case("Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0)
             for n in range(n_max + 1):
-                # the full sum: j < 2(n + 1) reaches every triangular number <= n
                 yield _case(
                     "Gen17-infsum",
                     {"k": k, "n": n},
-                    _theta_alternating_sum(b_tab, n + 1, n),
+                    infsum[n],
                     _gen17_sub(c_tab, k, n, indicator_form),
                 )
 
@@ -393,11 +407,15 @@ def _bad_exponent_cells(tables, n_max, ell_max):
     (-1)^j instead of (-1)^(j(j+1)/2), yielding (n, ell, lhs, rhs)."""
     b_tab = tables.get("b_k_table", 2, n_max)
     c_tab = tables.get("c_k_table", 2, n_max)
-    rhs = {ell: _gen17_rhs(tables, 2, ell, n_max) for ell in range(1, ell_max + 1)}
+    ells = range(1, ell_max + 1)
+    rhs = {ell: _gen17_rhs(tables, 2, ell, n_max) for ell in ells}
+    lhs = {
+        ell: _truncated_theta_lhs(b_tab, c_tab, 2, ell, corrected=False)
+        for ell in ells
+    }
     for n in range(1, n_max + 1):
-        for ell in range(1, ell_max + 1):
-            lhs = _gen17_lhs(b_tab, c_tab, 2, ell, n, corrected=False)
-            yield n, ell, lhs, rhs[ell][n]
+        for ell in ells:
+            yield n, ell, lhs[ell][n], rhs[ell][n]
 
 
 def _bad_exponent_witness(tables, n_max, ell_max):

@@ -195,6 +195,26 @@ def test_verify_bad_exponent_below_ell_2_exit_2(capsys):
     assert (report["suite"], report["total"]) == ("bad-exponent", 0)
 
 
+def test_verify_bad_exponent_empty_ell_range_exit_2(capsys):
+    # an empty --ell range has no ell to sweep: a usage error on its own,
+    # never a sweep over some other range
+    code, out, err = run_cli(
+        capsys, "verify", "bad-exponent", "--n-max", "30", "--ell", "5..2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "5..2" in err
+    # inside `verify all` the same range is vacuous
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "all", "--n-max", "10", "--k", "1", "--ell", "5..2", "--enum-cap", "5",
+        "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)[-1]
+    assert (report["suite"], report["total"]) == ("bad-exponent", 0)
+
+
 def test_verify_enum_cap_above_the_sweep_cap(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -114,8 +114,7 @@ def test_trunc_expression_vanishes_beyond_pentagonal_support():
     # expression collapses to exactly zero
     for k in (2, 3):
         b_tab = stats.b_k_table(k, 30)
-        for n in range(31):
-            assert verify._trunc_lhs(b_tab, k, 10, n) == 0
+        assert verify._truncated_pentagonal_lhs(b_tab, k, 10) == [0] * 31
     assert verify.verify_trunc(2, 10, 30).passed
 
 
@@ -194,6 +193,24 @@ def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
     # suites that never touch the b tables stay green
     assert verify_m_routes(2, 30).passed
     assert verify_overpartition_identities(2, 10).passed
+
+
+@pytest.mark.parametrize("k,ell,i", [(1, 1, 0), (2, 3, 7), (3, 2, 12)])
+def test_corrupted_m_entry_fails_trunc_from_i_plus_k(monkeypatch, k, ell, i):
+    # the right side sum_j j M_ell(n - kj) reads M_ell(i) exactly at
+    # n = i + kj, j >= 1, so the sweep fails there and nowhere else
+    real = stats.m_ell_table
+
+    def corrupted(ell_, n_max):
+        table = real(ell_, n_max)
+        values = list(table.values)
+        values[i] += 1
+        return stats.StatTable(table.stat_id, table.params, tuple(values))
+
+    monkeypatch.setattr(stats, "m_ell_table", corrupted)
+    report = verify_trunc(k, ell, 30)
+    assert report.first_failure.params == {"k": k, "ell": ell, "n": i + k}
+    assert [c.params["n"] for c in report.failures] == list(range(i + k, 31, k))
 
 
 def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
