@@ -216,8 +216,11 @@ def export_document(selectors, k_range, ell_range, n_max, all_residues=True):
     Selector expansion: 'a' covers every k in k_range and (with
     all_residues) every residue 0 <= p < k; 'b' and 'c' cover each k;
     'm' and 'mp' cover each ell in ell_range; 'q' and 'p' are single
-    tables.
+    tables.  A non-empty k_range must start at k >= 1 whenever 'a', 'b'
+    or 'c' is selected.
     """
+    if {"a", "b", "c"} & set(selectors) and k_range[0] <= k_range[1]:
+        _require(k_range[0] >= 1, "k must be >= 1")
     doc = {}
     for stat in selectors:
         if stat == "a":

@@ -93,6 +93,8 @@ def part_multiplicities(parts):
 
 def partition_count_table(n_max):
     """p(0..n_max) by the pentagonal-number recurrence (fast count oracle)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     p = [0] * (n_max + 1)
     p[0] = 1
     for n in range(1, n_max + 1):
@@ -265,27 +267,25 @@ def c_subsets(n, cap=None):
     """Count subsets of {1..n} containing an element greater than the sum
     of the other elements (singletons qualify).
 
-    Exhaustive sweep over all 2^n subsets, organized by top element: the
-    masks in [2^i, 2^(i+1)) are exactly the subsets whose largest element
-    is i+1, so their sums extend the already-computed prefix by i+1.
-    Sums stay <= n(n+1)/2 <= 325, comfortably exact in int16.
+    Counted by top element: a subset whose largest element is m qualifies
+    iff its other elements, a subset of {1..m-1}, sum to less than m.  A
+    depth-first walk counts those one by one, extending a subset only
+    while its sum stays below m, so the qualifying subsets are all it
+    visits instead of all 2^n.
     """
-    import numpy  # only this sweep needs it; keeps it off the import path
-
     limit = SUBSET_SWEEP_CAP if cap is None else cap
     if not 0 <= n <= limit:
         raise ValueError("n=%d outside 0..%d (exhaustive 2^n sweep)" % (n, limit))
-    if n == 0:
-        return 0
-    sums = numpy.zeros(1 << n, dtype=numpy.int16)
-    count = 0
-    for i in range(n):
-        lo = 1 << i
-        block = sums[:lo] + numpy.int16(i + 1)
-        sums[lo : 2 * lo] = block
-        # top element i+1 dominates iff i+1 > sum - (i+1)
-        count += int(numpy.count_nonzero(block < 2 * (i + 1)))
-    return count
+    return sum(_subsets_below(m, m - 1) for m in range(1, n + 1))
+
+
+def _subsets_below(bound, top):
+    # subsets of {1..top} summing to less than bound >= 1: the empty one,
+    # plus for each largest element v < bound the subsets of {1..v-1}
+    # summing to less than bound - v
+    return 1 + sum(
+        _subsets_below(bound - v, v - 1) for v in range(1, min(top, bound - 1) + 1)
+    )
 
 
 @dataclass(frozen=True)

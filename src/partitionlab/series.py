@@ -56,9 +56,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        return cls([0] * (order + 1))
+        return cls(_zeros(order))
 
     @classmethod
     def one(cls, order):
@@ -67,11 +65,9 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, coeff, exponent, order):
         """The series coeff*q^exponent (zero if exponent exceeds the order)."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        c = [0] * (order + 1)
+        c = _zeros(order)
         if exponent <= order:
             c[exponent] = coeff
         return cls(c)
@@ -162,6 +158,13 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
 
+def _zeros(order):
+    """The coefficients of the zero series truncated at order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return [0] * (order + 1)
+
+
 def _mul_binomial_inplace(c, sign, exponent):
     if exponent < 1:
         raise ValueError("binomial exponent must be >= 1")
@@ -185,7 +188,7 @@ def product(specs, order):
     are multiplied (all later ones are 1 modulo q^(order+1)).  An empty
     list gives the multiplicative identity.
     """
-    c = [0] * (order + 1)
+    c = _zeros(order)
     c[0] = 1
     for spec, count in specs:
         if not isinstance(spec, ProductSpec):
@@ -232,7 +235,7 @@ def pentagonal_series(order, ell=None):
     pentagonal exponent <= order), which by Euler's pentagonal number
     theorem equals euler_product(order).
     """
-    c = [0] * (order + 1)
+    c = _zeros(order)
     if ell is None:
         c[0] = 1
         j = 1
@@ -277,7 +280,7 @@ def gaussian_binomial(n, ell, order):
     if ell < 0 or ell > n:
         return TruncatedSeries.zero(order)
     # rows[j] holds [m, j] for the current m, as a plain list
-    rows = [[0] * (order + 1) for _ in range(ell + 1)]
+    rows = [_zeros(order) for _ in range(ell + 1)]
     rows[0][0] = 1
     for m in range(1, n + 1):
         for j in range(min(ell, m), 0, -1):
@@ -298,7 +301,7 @@ def theta_truncated(ell, order):
     """sum_{j=0}^{2*ell-1} (-1)^(j(j+1)/2) q^(j(j+1)/2), truncated."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    c = [0] * (order + 1)
+    c = _zeros(order)
     for j in range(2 * ell):
         t = triangular_number(j)
         if t <= order:

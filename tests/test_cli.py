@@ -19,19 +19,35 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_does_not_load_numpy():
-    # only the csub sweep (enumeration.c_subsets) needs numpy, and it
-    # imports it when called; a fresh process must not pay for it
+def run_fresh(probe):
+    """Run the Python source probe in a new interpreter on this checkout."""
     src = Path(partitionlab.__file__).resolve().parent.parent
-    probe = "import sys, partitionlab.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
-        check=True,
     )
-    assert proc.stdout == "False\n"
+
+
+def test_import_does_not_load_numpy():
+    # numpy is no dependency: a fresh process must not load it
+    proc = run_fresh("import sys, partitionlab.cli; print('numpy' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
+
+
+def test_csub_runs_where_numpy_cannot_be_imported():
+    proc = run_fresh(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # makes any import of numpy fail\n"
+        "from partitionlab import cli\n"
+        "sys.exit(cli.main(['compute', 'csub', '--n-max', '20']))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cli.parse_table_csv(proc.stdout) == [
+        0, 1, 3, 6, 11, 18, 28, 42, 61, 86, 119,
+        162, 217, 287, 375, 485, 622, 791, 998, 1251, 1558,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +295,17 @@ def test_export_empty_selector(capsys):
     code, out, _ = run_cli(capsys, "export", "--stats", "", "--n-max", "5")
     assert code == 0
     assert json.loads(out) == {}
+
+
+@pytest.mark.parametrize("stat", ["a", "b", "c"])
+@pytest.mark.parametrize("k", ["0..2", "-2..1"])
+def test_export_k_below_1_exit_2(capsys, stat, k):
+    code, out, err = run_cli(
+        capsys, "export", "--stats", stat, "--k=" + k, "--n-max", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "k must be >= 1" in err
 
 
 def test_export_unknown_stat_exit_2(capsys):

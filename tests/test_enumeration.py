@@ -158,12 +158,11 @@ def test_statistics_domain_validation():
 
 
 def test_statistics_past_the_sweep_bound_match_the_series(monkeypatch):
-    # the part-value DP has no int64 bound: n = 400 > MAX_SWEEP_N = 316
-    from partitionlab import kernels
+    # past n = 316, n * p(n), the bound on every a/b sum, outgrows 64
+    # bits; the part-value DP adds Python ints, so n = 400 is as exact
     from partitionlab.stats import a_kp_table, b_k_table
 
     n_max = 400
-    assert n_max > kernels.MAX_SWEEP_N
     a_tables = [a_kp_table(3, p, n_max) for p in range(3)]
     b_table = b_k_table(3, n_max)
     # from a cold cache (the test's own: monkeypatch puts the shared one

@@ -1,11 +1,12 @@
 """Series-backed statistic tables against oracles and closed forms."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from partitionlab import enumeration, stats
-from partitionlab.series import TruncatedSeries, partition_gf
+from partitionlab.series import TruncatedSeries, gaussian_binomial, partition_gf
 from partitionlab.stats import (
     StatTable,
     a_k_table,
@@ -277,3 +278,27 @@ def test_divisor_term_domain():
         divisor_term(-1, 2)
     with pytest.raises(ValueError):
         divisor_term(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# truncation order
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(p_table, -1),
+        partial(q_table, -1),
+        partial(a_kp_table, 3, 1, -1),
+        partial(b_k_table, 2, -1),
+        partial(c_k_table, 2, -1),
+        partial(m_ell_table, 2, -1),
+        partial(mp_ell_table, 2, -1),
+        partial(gaussian_binomial, 3, 1, -1),
+        partial(enumeration.partition_count_table, -1),
+    ],
+    ids=lambda call: call.func.__name__,
+)
+def test_negative_order_raises_value_error(call):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()
