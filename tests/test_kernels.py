@@ -14,6 +14,14 @@ from partitionlab.enumeration import stat_sum_tables
 from partitionlab.stats import a_kp_table, b_k_table
 
 
+@pytest.fixture(params=["pure"])
+def backend(request):
+    """The kernels under test.  There is one implementation, the pure
+    `partitionlab.kernels`; the fixture keeps each case's `[pure]` id.
+    """
+    return kernels
+
+
 def naive_convolve(a, b):
     n = len(a)
     out = [0] * n
@@ -24,48 +32,48 @@ def naive_convolve(a, b):
     return out
 
 
-def test_convolve_small():
-    assert kernels.convolve([1, 1, 0], [1, -1, 0]) == [1, 0, -1]
-    assert kernels.convolve([2], [3]) == [6]
-    assert kernels.convolve([0, 1, 2], [5, 0, 0]) == [0, 5, 10]
+def test_convolve_small(backend):
+    assert backend.convolve([1, 1, 0], [1, -1, 0]) == [1, 0, -1]
+    assert backend.convolve([2], [3]) == [6]
+    assert backend.convolve([0, 1, 2], [5, 0, 0]) == [0, 5, 10]
 
 
-def test_convolve_matches_naive_on_random_input():
+def test_convolve_matches_naive_on_random_input(backend):
     rng = random.Random(12345)
     for _ in range(20):
         n = rng.randrange(1, 40)
         a = [rng.randrange(-10**30, 10**30) for _ in range(n)]
         b = [rng.randrange(-10**30, 10**30) for _ in range(n)]
-        assert kernels.convolve(a, b) == naive_convolve(a, b)
+        assert backend.convolve(a, b) == naive_convolve(a, b)
 
 
-def test_convolve_rejects_order_mismatch():
+def test_convolve_rejects_order_mismatch(backend):
     with pytest.raises(ValueError):
-        kernels.convolve([1, 2], [1, 2, 3])
+        backend.convolve([1, 2], [1, 2, 3])
 
 
-def test_invert_geometric():
-    assert kernels.invert_unit([1, -1, 0, 0]) == [1, 1, 1, 1]
+def test_invert_geometric(backend):
+    assert backend.invert_unit([1, -1, 0, 0]) == [1, 1, 1, 1]
 
 
-def test_invert_roundtrip_random():
+def test_invert_roundtrip_random(backend):
     rng = random.Random(999)
     for lead in (1, -1):
         for _ in range(10):
             n = rng.randrange(1, 30)
             a = [lead] + [rng.randrange(-10**20, 10**20) for _ in range(n)]
-            inv = kernels.invert_unit(a)
-            unit = kernels.convolve(a, inv)
+            inv = backend.invert_unit(a)
+            unit = backend.convolve(a, inv)
             assert unit == [1] + [0] * n
 
 
-def test_invert_rejects_non_unit():
+def test_invert_rejects_non_unit(backend):
     with pytest.raises(ValueError):
-        kernels.invert_unit([0, 1])
+        backend.invert_unit([0, 1])
     with pytest.raises(ValueError):
-        kernels.invert_unit([2, 1])
+        backend.invert_unit([2, 1])
     with pytest.raises(ValueError):
-        kernels.invert_unit([])
+        backend.invert_unit([])
 
 
 def brute_stat_sums(n, k_max):
@@ -85,15 +93,15 @@ def brute_stat_sums(n, k_max):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 14])
-def test_stat_sums_match_definition(n):
-    assert kernels.ab_stat_sums(n, 6) == brute_stat_sums(n, 6)
+def test_stat_sums_match_definition(backend, n):
+    assert backend.ab_stat_sums(n, 6) == brute_stat_sums(n, 6)
 
 
-def test_stat_sums_domain_errors():
+def test_stat_sums_domain_errors(backend):
     with pytest.raises(ValueError):
-        kernels.ab_stat_sums(-1, 3)
+        backend.ab_stat_sums(-1, 3)
     with pytest.raises(ValueError):
-        kernels.ab_stat_sums(5, 0)
+        backend.ab_stat_sums(5, 0)
 
 
 def dp_stat_sums(tables, n, k_max):
@@ -111,12 +119,12 @@ def test_stat_sum_tables_match_definition():
         assert dp_stat_sums(tables, n, 6) == brute_stat_sums(n, 6), n
 
 
-def test_stat_sum_tables_match_the_sweep():
+def test_stat_sum_tables_match_the_sweep(backend):
     # the sweep visits every partition, so it stops at 30 to keep the
     # suite fast; the series tables take the check further
     tables = stat_sum_tables(30, 6)
     for n in range(31):
-        assert dp_stat_sums(tables, n, 6) == kernels.ab_stat_sums(n, 6), n
+        assert dp_stat_sums(tables, n, 6) == backend.ab_stat_sums(n, 6), n
 
 
 def test_stat_sum_tables_match_the_series():
