@@ -77,7 +77,7 @@ def _compute_table(args):
     if stat == "csub":
         _require(
             n_max <= SUBSET_SWEEP_CAP,
-            "--n-max must be <= %d for the exhaustive subset count" % SUBSET_SWEEP_CAP,
+            "--n-max must be <= %d for the subset count" % SUBSET_SWEEP_CAP,
         )
         values = tuple(c_subsets(n) for n in range(n_max + 1))
         return stats.StatTable("csub", {}, values)

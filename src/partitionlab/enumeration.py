@@ -4,8 +4,11 @@ Everything in this module computes statistics from their verbal
 definitions by counting objects (partitions, marked overpartitions,
 subsets), independently of the series machinery in `stats`.  The a/b
 statistics come from a dynamic program over part values that adds up
-every partition of each total at once (`stat_sum_tables`); the others
-walk the objects one by one.  Partitions are represented as weakly
+every partition of each total at once (`stat_sum_tables`); each of the
+lookups `a_kp`, `a_k` and `b_k` runs one such pass, so callers that need
+many values call `stat_sum_tables` once and index its tables.  The
+module keeps no state between calls.  The other statistics walk the
+objects one by one.  Partitions are represented as weakly
 decreasing tuples of positive integers; the empty tuple is the single
 partition of 0.  `partitions` walks them with the ZS1 generator of
 Zoghbi & Stojmenovic, in constant amortized time per partition besides
@@ -15,7 +18,6 @@ The statistics are capped (PARTITION_SWEEP_CAP / SUBSET_SWEEP_CAP) so
 the oracle suite stays fast; pass an explicit `cap` to go further.
 """
 
-import threading
 from dataclasses import dataclass
 
 from .series import pentagonal_number
@@ -116,11 +118,10 @@ def partition_count_table(n_max):
 
 
 def _check_sweep(n, cap):
-    """The enumeration cap in force; raises when n exceeds it."""
+    """Raise when n exceeds the enumeration cap in force."""
     limit = PARTITION_SWEEP_CAP if cap is None else cap
     if n > limit:
         raise ValueError("n=%d exceeds the enumeration cap %d" % (n, limit))
-    return limit
 
 
 def stat_sum_tables(n_max, k_max):
@@ -164,48 +165,16 @@ def _add_scaled(row, v, count, shift):
         row[shift:] = [x + v * c for x, c in zip(row[shift:], count)]
 
 
-# the a/b tables of the widest stat_sum_tables pass so far, as
-# (n_max, k_max, A, B); one pass serves every n <= n_max and k <= k_max.
-# Callers' own threads may share it; the lock keeps a narrower pass from
-# replacing a wider one, and two threads from running the same pass.
-_stat_cache = None
-_stat_lock = threading.Lock()
-
-
-def _stat_sums(n, k, limit):
-    # a miss past the cached n at least doubles it (up to limit, the cap
-    # in force), so calls with ascending n run O(log n) passes, not one
-    # pass each
-    global _stat_cache
-    with _stat_lock:
-        entry = _stat_cache
-        if entry is None or entry[0] < n or entry[1] < k:
-            if entry is not None:
-                if n > entry[0]:
-                    n = max(n, min(2 * entry[0], limit))
-                else:
-                    n = entry[0]
-                k = max(k, entry[1])
-            entry = _stat_cache = (n, k) + stat_sum_tables(n, k)
-    return entry[2:]
-
-
-def warm_statistics_cache(n_max, k_max):
-    """Fill the a/b tables for every n <= n_max and k <= k_max in one pass."""
-    _stat_sums(n_max, k_max, n_max)
-
-
-def clear_statistics_cache():
-    global _stat_cache
-    with _stat_lock:
-        _stat_cache = None
+# perfbench/tracer.py wraps this name; the alias goes with the next
+# benchmark change (ROADMAP item 1)
+warm_statistics_cache = stat_sum_tables
 
 
 def a_kp(n, k, p, cap=None):
     """Total over all partitions of n of the distinct part values = p (mod k).
 
     Each qualifying value contributes once per partition no matter how
-    many times it occurs there.
+    many times it occurs there.  One stat_sum_tables pass per call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -213,7 +182,8 @@ def a_kp(n, k, p, cap=None):
         raise ValueError("k must be >= 1")
     if not 0 <= p < k:
         raise ValueError("need 0 <= p < k")
-    return _stat_sums(n, k, _check_sweep(n, cap))[0][k - 1][p][n]
+    _check_sweep(n, cap)
+    return stat_sum_tables(n, k)[0][k - 1][p][n]
 
 
 def a_k(n, k, cap=None):
@@ -222,12 +192,14 @@ def a_k(n, k, cap=None):
 
 
 def b_k(n, k, cap=None):
-    """Total over all partitions of n of the distinct part values with multiplicity >= k."""
+    """Total over all partitions of n of the distinct part values with
+    multiplicity >= k.  One stat_sum_tables pass per call."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _stat_sums(n, k, _check_sweep(n, cap))[1][k - 1][n]
+    _check_sweep(n, cap)
+    return stat_sum_tables(n, k)[1][k - 1][n]
 
 
 def m_ell(n, ell, cap=None):
@@ -270,12 +242,11 @@ def c_subsets(n, cap=None):
     Counted by top element: a subset whose largest element is m qualifies
     iff its other elements, a subset of {1..m-1}, sum to less than m.  A
     depth-first walk counts those one by one, extending a subset only
-    while its sum stays below m, so the qualifying subsets are all it
-    visits instead of all 2^n.
+    while its sum stays below m, so its cost grows with the count itself.
     """
     limit = SUBSET_SWEEP_CAP if cap is None else cap
     if not 0 <= n <= limit:
-        raise ValueError("n=%d outside 0..%d (exhaustive 2^n sweep)" % (n, limit))
+        raise ValueError("n=%d outside 0..%d (the subset-count cap)" % (n, limit))
     return sum(_subsets_below(m, m - 1) for m in range(1, n + 1))
 
 

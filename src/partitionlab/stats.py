@@ -99,25 +99,21 @@ def a_kp_table(k, p, n_max):
 
 def a_k_table(k, n_max):
     """a_k(n): total of distinct part values divisible by k (p = 0 case)."""
-    table = a_kp_table(k, 0, n_max)
-    return StatTable("a", {"k": k, "p": 0}, table.values)
+    return a_kp_table(k, 0, n_max)
 
 
 def c_k_table(k, n_max):
     """c_k(n) = sum_{j=1..floor(n/k)} j * Q((n-kj)/2), zero terms whenever
-    (n-kj)/2 is not a nonnegative integer; Q(0) = 1 is included."""
+    (n-kj)/2 is not a nonnegative integer; Q(0) = 1 is included.
+
+    Generating function: Q(q^2) * q^k/(1-q^k)^2, with Q(q^2) = (-q^2;q^2)_inf.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q_values = distinct_parts_gf(n_max).coeffs
-    out = []
-    for n in range(n_max + 1):
-        total = 0
-        for j in range(1, n // k + 1):
-            r = n - k * j
-            if r % 2 == 0:
-                total += j * q_values[r // 2]
-        out.append(total)
-    return StatTable("c", {"k": k}, tuple(out))
+    # q^k/(1-q^k)^2 is a shift and two O(n) divisions
+    q_squared = product([(ProductSpec(1, 2, 2), INFINITE)], n_max)
+    series = q_squared.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
+    return StatTable("c", {"k": k}, series.coeffs)
 
 
 def _m_ell_from_pentagonal(ell, n_max):

@@ -174,31 +174,23 @@ def _run_suite(suite_id, config, tables=None):
 def _thmgf_cases(tables, config):
     n_max = config.enum_n_max()
     ks = list(config.ks())
-    if n_max >= 1 and ks:
-        enumeration.warm_statistics_cache(n_max, max(ks))
+    if n_max < 1 or not ks:
+        return
+    # one part-value DP pass, independent of the series, serves every cell
+    A, B = enumeration.stat_sum_tables(n_max, max(ks))
     for k in ks:
         b_tab = tables.get("b_k_table", k, n_max)
         p_top = k if config.all_residues else 1
         a_tabs = [tables.get("a_kp_table", k, p, n_max) for p in range(p_top)]
         for n in range(1, n_max + 1):
-            yield _case(
-                "ThmGF-b",
-                {"k": k, "n": n},
-                b_tab[n],
-                enumeration.b_k(n, k, cap=n_max),
-            )
-            yield _case(
-                "ThmGF-a",
-                {"k": k, "n": n},
-                a_tabs[0][n],
-                enumeration.a_k(n, k, cap=n_max),
-            )
+            yield _case("ThmGF-b", {"k": k, "n": n}, b_tab[n], B[k - 1][n])
+            yield _case("ThmGF-a", {"k": k, "n": n}, a_tabs[0][n], A[k - 1][0][n])
             for p in range(1, p_top):
                 yield _case(
                     "ThmGF-ap",
                     {"k": k, "p": p, "n": n},
                     a_tabs[p][n],
-                    enumeration.a_kp(n, k, p, cap=n_max),
+                    A[k - 1][p][n],
                 )
 
 
@@ -487,14 +479,16 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 
 
 def _overpartition_cases(tables, config):
-    # P1 compares a walk over partitions() with the part-value DP behind
-    # a_k, which never calls partitions(): two independent counts.  P2
-    # builds its series here, not from stats.b_k_table, so the suite
-    # reads no table of the store
+    # P1 compares a walk over partitions() with the part-value DP
+    # stat_sum_tables, which never calls partitions(): two independent
+    # counts.  The suite runs its own DP pass, as thmgf does.  P2 builds
+    # its series here, not from stats.b_k_table, so the suite reads no
+    # table of the store
     n_max = config.enum_n_max()
     ks = list(config.ks())
-    if n_max >= 1 and ks:
-        enumeration.warm_statistics_cache(n_max, max(ks))
+    if n_max < 1 or not ks:
+        return
+    A = enumeration.stat_sum_tables(n_max, max(ks))[0]
     counts = [
         enumeration.overpartition_counts(n, ks) for n in range(1, n_max + 1)
     ]
@@ -502,12 +496,7 @@ def _overpartition_cases(tables, config):
         a_series = (partition_gf(n_max) * geometric_kernel(k, n_max)).coeffs
         for n, by_k in enumerate(counts, start=1):
             overlined_total, count_a = by_k[k]
-            yield _case(
-                "P1",
-                {"k": k, "n": n},
-                overlined_total,
-                enumeration.a_k(n, k, cap=n_max),
-            )
+            yield _case("P1", {"k": k, "n": n}, overlined_total, A[k - 1][0][n])
             yield _case("P2", {"k": k, "n": n}, count_a, a_series[n])
             yield _case("P3", {"k": k, "n": n}, overlined_total, k * count_a)
 

@@ -2,10 +2,6 @@
 overpartitions, subset counts."""
 
 import itertools
-import math
-import sys
-import threading
-import time
 
 import pytest
 
@@ -137,11 +133,14 @@ def test_a_k_equals_residue_zero():
 
 
 def test_residue_sums_recover_total():
-    # summing a_{k,p} over all residues gives the k=1 statistic
+    # summing a_{k,p} over all residues gives the k=1 statistic; one DP
+    # pass holds every value, where each lookup would run a pass of its own
+    A = enumeration.stat_sum_tables(40, 6)[0]
     for n in range(1, 41):
-        total = a_k(n, 1)
+        total = A[0][0][n]
         for k in range(2, 7):
-            assert sum(a_kp(n, k, p) for p in range(k)) == total
+            assert sum(A[k - 1][p][n] for p in range(k)) == total
+    assert a_k(40, 1) == total
 
 
 def test_statistics_domain_validation():
@@ -157,86 +156,21 @@ def test_statistics_domain_validation():
     assert b_k(enumeration.PARTITION_SWEEP_CAP + 1, 2, cap=70) > 0
 
 
-def test_statistics_past_the_sweep_bound_match_the_series(monkeypatch):
+def test_statistics_past_the_sweep_bound_match_the_series():
     # past n = 316, n * p(n), the bound on every a/b sum, outgrows 64
     # bits; the part-value DP adds Python ints, so n = 400 is as exact
     from partitionlab.stats import a_kp_table, b_k_table
 
     n_max = 400
-    a_tables = [a_kp_table(3, p, n_max) for p in range(3)]
+    A, B = enumeration.stat_sum_tables(n_max, 3)
     b_table = b_k_table(3, n_max)
-    # from a cold cache (the test's own: monkeypatch puts the shared one
-    # back afterwards), the call at n_max fills every smaller n too
-    monkeypatch.setattr(enumeration, "_stat_cache", None)
-    for n in range(n_max, 0, -1):
-        for p in range(3):
-            assert a_kp(n, 3, p, cap=n_max) == a_tables[p][n], (n, p)
-        assert b_k(n, 3, cap=n_max) == b_table[n], n
-
-
-def test_ascending_lookups_widen_the_cache_geometrically(monkeypatch):
-    # each miss past the cached n at least doubles it, so a cold ascending
-    # loop runs O(log n) passes, not one pass per n
-    n_max = 200
-    real = enumeration.stat_sum_tables
-    passes = []
-
-    def recording(n, k):
-        passes.append((n, k))
-        return real(n, k)
-
-    monkeypatch.setattr(enumeration, "stat_sum_tables", recording)
-    monkeypatch.setattr(enumeration, "_stat_cache", None)
-    values = [b_k(n, 3, cap=n_max) for n in range(1, n_max + 1)]
-    assert len(passes) <= math.ceil(math.log2(n_max)) + 1, passes
-    # the widening stops at the cap, and every value is the DP's
-    assert passes[-1] == (n_max, 3)
-    assert values == real(n_max, 3)[1][2][1:]
-
-
-def test_statistics_cache_under_threads(monkeypatch):
-    # callers' threads share the a/b cache: every lookup must read
-    # the DP's value, and each pass must widen the cache, so no two threads
-    # run the same pass and a narrower pass never replaces a wider one
-    n_max, k_max = 36, 6
-    A, B = enumeration.stat_sum_tables(n_max, k_max)
-    requests = [(n, k) for n in range(6, n_max + 1, 6) for k in range(1, k_max + 1)]
-    real = enumeration.stat_sum_tables
-    passes = []
-    wrong = []
-
-    def recording(n, k):
-        passes.append((n, k))
-        time.sleep(0.001)  # widen the window between the check and the store
-        return real(n, k)
-
-    def worker(seed):
-        # a miss widens the cache geometrically up to the cap, so with the
-        # cap at n_max the last pass is exactly the widest request
-        order = requests[seed:] + requests[:seed]
-        for n, k in (order[::-1] if seed % 2 else order):
-            b = b_k(n, k, cap=n_max)
-            a = a_kp(n, k, n % k, cap=n_max)
-            if b != B[k - 1][n] or a != A[k - 1][n % k][n]:
-                wrong.append((n, k))
-
-    monkeypatch.setattr(enumeration, "stat_sum_tables", recording)
-    monkeypatch.setattr(enumeration, "_stat_cache", None)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    for (n0, k0), (n1, k1) in zip(passes, passes[1:]):
-        assert n1 >= n0 and k1 >= k0 and (n1, k1) != (n0, k0), passes
-    assert passes[-1] == (n_max, k_max)
+    for p in range(3):
+        a_table = a_kp_table(3, p, n_max)
+        assert A[2][p] == list(a_table.values)
+        # the lookup past the default cap reads the same DP
+        assert a_kp(n_max, 3, p, cap=n_max) == a_table[n_max]
+    assert B[2] == list(b_table.values)
+    assert b_k(n_max, 3, cap=n_max) == b_table[n_max]
 
 
 # ---------------------------------------------------------------------------

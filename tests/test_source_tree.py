@@ -1,7 +1,10 @@
 """The package is one pure-Python implementation with no build step: no
 build script, no second (compiled) copy of the kernels, and no switch
-that selects between copies."""
+that selects between copies.  It keeps no module-global mutable state:
+no `global` statement rebinds a module name, and nothing imports
+`threading` to guard such state."""
 
+import ast
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -35,3 +38,20 @@ def test_no_retired_backend_names():
         text = path.read_text(encoding="utf-8", errors="replace")
         for name in RETIRED_NAMES:
             assert name not in text, (path.name, name)
+
+
+def test_no_global_statement_or_threading_import():
+    for path in package_files():
+        if path.suffix != ".py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = (path.name, getattr(node, "lineno", None))
+            assert not isinstance(node, ast.Global), where
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "threading" for m in modules), where

@@ -187,6 +187,23 @@ def test_c_2_even_arguments_match_subset_count():
         assert t[2 * n] == enumeration.c_subsets(n)
 
 
+def test_c_k_table_matches_the_literal_sum():
+    # the table comes from the generating function Q(q^2) q^k/(1-q^k)^2;
+    # the defining sum over j is its oracle
+    n_max = 200
+    q_values = q_table(n_max // 2).values
+    for k in range(1, 7):
+        literal = [
+            sum(
+                j * q_values[(n - k * j) // 2]
+                for j in range(1, n // k + 1)
+                if (n - k * j) % 2 == 0
+            )
+            for n in range(n_max + 1)
+        ]
+        assert list(c_k_table(k, n_max).values) == literal, k
+
+
 def test_c_k_odd_arguments():
     # for even k every odd argument vanishes; for odd k it need not
     t4 = c_k_table(4, 21)

@@ -288,6 +288,36 @@ def test_no_table_outlives_a_run(monkeypatch):
     assert all(r.passed for r in run_all(config))
 
 
+def test_no_statistic_sum_outlives_a_run(monkeypatch):
+    # thmgf and P1 read the a/b values from a stat_sum_tables pass of
+    # their own run, so a DP corrupted between runs fails the next run
+    # exactly at the cells it corrupts, and undoing it clears them
+    config = RunConfig(n_max=20, enum_cap=12)
+    assert all(r.passed for r in run_all(config))
+    real = enumeration.stat_sum_tables
+
+    def corrupted(n_max, k_max):
+        A, B = real(n_max, k_max)
+        A[1][0][7] += 1  # a_2(7)
+        B[1][7] += 1  # b_2(7)
+        return A, B
+
+    monkeypatch.setattr(enumeration, "stat_sum_tables", corrupted)
+    failures = [
+        (r.suite_id, c.identity_id, c.params)
+        for r in run_all(config)
+        for c in r.failures
+    ]
+    cell = {"k": 2, "n": 7}
+    assert failures == [
+        ("thmgf", "ThmGF-b", cell),
+        ("thmgf", "ThmGF-a", cell),
+        ("overpartitions", "P1", cell),
+    ]
+    monkeypatch.undo()
+    assert all(r.passed for r in run_all(config))
+
+
 def test_table_store_builds_on_first_request_only(monkeypatch):
     builds = count_table_builds(monkeypatch)
     tables = verify.TableStore()
