@@ -150,11 +150,10 @@ def cmd_compute(args):
 
 
 def render_reports_text(reports, max_failures=20):
-    lines = ["%-20s %8s %8s %9s" % ("suite", "total", "failed", "time")]
+    # no wall-clock column: identical invocations print identical text
+    lines = ["%-20s %8s %8s" % ("suite", "total", "failed")]
     for r in reports:
-        lines.append(
-            "%-20s %8d %8d %8.2fs" % (r.suite_id, r.total, len(r.failures), r.wall_time)
-        )
+        lines.append("%-20s %8d %8d" % (r.suite_id, r.total, len(r.failures)))
     for r in reports:
         for case in r.failures[:max_failures]:
             params = " ".join("%s=%s" % kv for kv in case.params.items())
@@ -221,28 +220,32 @@ def export_document(selectors, k_range, ell_range, n_max, all_residues=True):
     """
     if {"a", "b", "c"} & set(selectors) and k_range[0] <= k_range[1]:
         _require(k_range[0] >= 1, "k must be >= 1")
+    # one store for the whole document: the tables share one partition series
+    tables = verify.TableStore()
+    ks = range(k_range[0], k_range[1] + 1)
+    ells = range(ell_range[0], ell_range[1] + 1)
     doc = {}
     for stat in selectors:
         if stat == "a":
-            for k in range(k_range[0], k_range[1] + 1):
+            for k in ks:
                 for p in range(k if all_residues else 1):
-                    doc["a/k=%d/p=%d" % (k, p)] = stats.a_kp_table(k, p, n_max)
+                    doc["a/k=%d/p=%d" % (k, p)] = tables.get("a_kp_table", k, p, n_max)
         elif stat == "b":
-            for k in range(k_range[0], k_range[1] + 1):
-                doc["b/k=%d" % k] = stats.b_k_table(k, n_max)
+            for k in ks:
+                doc["b/k=%d" % k] = tables.get("b_k_table", k, n_max)
         elif stat == "c":
-            for k in range(k_range[0], k_range[1] + 1):
-                doc["c/k=%d" % k] = stats.c_k_table(k, n_max)
+            for k in ks:
+                doc["c/k=%d" % k] = tables.get("c_k_table", k, n_max)
         elif stat == "m":
-            for ell in range(ell_range[0], ell_range[1] + 1):
-                doc["m/ell=%d" % ell] = stats.m_ell_table(ell, n_max)
+            for ell in ells:
+                doc["m/ell=%d" % ell] = tables.get("m_ell_table", ell, n_max)
         elif stat == "mp":
-            for ell in range(ell_range[0], ell_range[1] + 1):
-                doc["mp/ell=%d" % ell] = stats.mp_ell_table(ell, n_max)
+            for ell in ells:
+                doc["mp/ell=%d" % ell] = tables.get("mp_ell_table", ell, n_max)
         elif stat == "q":
-            doc["q"] = stats.q_table(n_max)
+            doc["q"] = tables.get("q_table", n_max)
         elif stat == "p":
-            doc["p"] = stats.p_table(n_max)
+            doc["p"] = tables.get("p_table", n_max)
         else:
             raise UsageError("unknown stat %r in --stats" % stat)
     return doc

@@ -145,6 +145,24 @@ class TruncatedSeries:
         out[exponent:] = self._coeffs[: n - exponent]
         return TruncatedSeries(out)
 
+    def shift_sum(self, terms):
+        """sum of c * q^e * self over the (e, c) in terms, truncated at the
+        same order: one O(order) pass per term."""
+        n = len(self._coeffs)
+        out = [0] * n
+        for e, c in terms:
+            if e < 0:
+                raise ValueError("exponent must be >= 0")
+            if e < n:
+                out[e:] = [o + c * v for o, v in zip(out[e:], self._coeffs)]
+        return TruncatedSeries(out)
+
+    def mul_sparse(self, other):
+        """self * other in O(order) per nonzero coefficient of other, for
+        a short factor such as a truncated pentagonal or theta sum."""
+        self._check_order(other)
+        return self.shift_sum((e, c) for e, c in enumerate(other._coeffs) if c)
+
     def mul_binomial(self, sign, exponent):
         """Multiply by (1 + sign*q^exponent) in O(order) time."""
         out = list(self._coeffs)

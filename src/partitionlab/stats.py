@@ -12,7 +12,6 @@ from .series import (
     ProductSpec,
     TruncatedSeries,
     distinct_parts_gf,
-    geometric_kernel,
     partition_gf,
     pentagonal_number,
     pentagonal_series,
@@ -20,6 +19,21 @@ from .series import (
     theta_truncated,
     triangular_number,
 )
+
+# the table builders that read the partition series 1/(q;q)_inf and take
+# it as the keyword p_series, so that a caller building many tables of
+# one order (verify.TableStore) builds the series once
+PARTITION_SERIES_TABLES = frozenset(
+    {
+        "p_table",
+        "a_kp_table",
+        "a_k_table",
+        "b_k_table",
+        "m_ell_table",
+        "m_ell_table_pdiff",
+    }
+)
+
 
 @dataclass
 class StatTable:
@@ -52,9 +66,21 @@ class StatTable:
         return len(self.values)
 
 
-def p_table(n_max):
+def _partition_series(n_max, p_series):
+    """p_series, which must be 1/(q;q)_inf at order n_max, or when it is
+    None that series built here."""
+    if p_series is None:
+        return partition_gf(n_max)
+    if p_series.order != n_max:
+        raise ValueError(
+            "p_series has order %d, the table n_max=%d" % (p_series.order, n_max)
+        )
+    return p_series
+
+
+def p_table(n_max, *, p_series=None):
     """p(n): number of partitions of n."""
-    return StatTable("p", {}, partition_gf(n_max).coeffs)
+    return StatTable("p", {}, _partition_series(n_max, p_series).coeffs)
 
 
 def q_table(n_max):
@@ -62,7 +88,7 @@ def q_table(n_max):
     return StatTable("q", {}, distinct_parts_gf(n_max).coeffs)
 
 
-def b_k_table(k, n_max):
+def b_k_table(k, n_max, *, p_series=None):
     """b_k(n): total of distinct part values with multiplicity >= k,
     over all partitions of n.
 
@@ -70,11 +96,13 @@ def b_k_table(k, n_max):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    series = partition_gf(n_max) * geometric_kernel(k, n_max)
+    # q^k/(1-q^k)^2 is a shift and two O(n) divisions
+    gf = _partition_series(n_max, p_series)
+    series = gf.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
     return StatTable("b", {"k": k}, series.coeffs)
 
 
-def a_kp_table(k, p, n_max):
+def a_kp_table(k, p, n_max, *, p_series=None):
     """a_{k,p}(n): total of distinct part values congruent to p mod k,
     over all partitions of n.
 
@@ -86,7 +114,7 @@ def a_kp_table(k, p, n_max):
         raise ValueError("need 0 <= p < k")
     # the numerator is two monomials, so it scales two shifted copies of
     # the partition series, and the denominator is two O(n) divisions
-    gf = partition_gf(n_max)
+    gf = _partition_series(n_max, p_series)
     numerator = TruncatedSeries(
         [
             p * x + (k - p) * y
@@ -97,9 +125,9 @@ def a_kp_table(k, p, n_max):
     return StatTable("a", {"k": k, "p": p}, series.coeffs)
 
 
-def a_k_table(k, n_max):
+def a_k_table(k, n_max, *, p_series=None):
     """a_k(n): total of distinct part values divisible by k (p = 0 case)."""
-    return a_kp_table(k, 0, n_max)
+    return a_kp_table(k, 0, n_max, p_series=p_series)
 
 
 def c_k_table(k, n_max):
@@ -116,9 +144,10 @@ def c_k_table(k, n_max):
     return StatTable("c", {"k": k}, series.coeffs)
 
 
-def _m_ell_from_pentagonal(ell, n_max):
-    # (-1)^(ell-1) * (pentagonal truncation / (q;q)_inf  -  1)
-    series = partition_gf(n_max) * pentagonal_series(n_max, ell)
+def _m_ell_from_pentagonal(ell, gf):
+    # (-1)^(ell-1) * (pentagonal truncation / (q;q)_inf  -  1); the
+    # truncation has 2*ell terms, so the product is 2*ell shifted copies
+    series = gf.mul_sparse(pentagonal_series(gf.order, ell))
     sign = -1 if ell % 2 == 0 else 1
     coeffs = [sign * c for c in series.coeffs]
     coeffs[0] -= sign
@@ -151,7 +180,7 @@ def _m_ell_from_gaussian(ell, n_max):
     return tuple(out)
 
 
-def m_ell_table(ell, n_max):
+def m_ell_table(ell, n_max, *, p_series=None):
     """M_ell(n): partitions of n in which ell is the least positive
     non-part and parts above ell outnumber parts below ell.
 
@@ -161,7 +190,7 @@ def m_ell_table(ell, n_max):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    primary = _m_ell_from_pentagonal(ell, n_max)
+    primary = _m_ell_from_pentagonal(ell, _partition_series(n_max, p_series))
     second = _m_ell_from_gaussian(ell, n_max)
     if primary != second:
         raise ArithmeticError(
@@ -173,13 +202,13 @@ def m_ell_table(ell, n_max):
     return StatTable("m", {"ell": ell}, primary)
 
 
-def m_ell_table_pdiff(ell, n_max):
+def m_ell_table_pdiff(ell, n_max, *, p_series=None):
     """Third evaluation of M_ell via partition-count differences:
     (-1)^(ell-1) sum_{j=0..ell-1} (-1)^j (p(n - j(3j+1)/2) - p(n - (j+1)(3j+2)/2)),
     valid for n >= 1 (the entry at n=0 is 0 by convention)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    p = partition_gf(n_max).coeffs
+    p = _partition_series(n_max, p_series).coeffs
     sign = -1 if ell % 2 == 0 else 1
     out = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -203,9 +232,12 @@ def mp_ell_table(ell, n_max):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    odd_distinct = product([(ProductSpec(1, 1, 2), INFINITE)], n_max)
-    even_all = product([(ProductSpec(-1, 2, 2), INFINITE)], n_max).invert()
-    series = odd_distinct * even_all * theta_truncated(ell, n_max)
+    # (-q;q^2)_inf/(q^2;q^2)_inf is the product of the odd factors, then
+    # one O(n) division per even factor; theta_ell has 2*ell terms
+    base = product([(ProductSpec(1, 1, 2), INFINITE)], n_max)
+    for e in range(2, n_max + 1, 2):
+        base = base.div_binomial(-1, e)
+    series = base.mul_sparse(theta_truncated(ell, n_max))
     sign = -1 if ell % 2 == 0 else 1
     coeffs = [sign * c for c in series.coeffs]
     coeffs[0] -= sign

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from . import enumeration, kernels, stats
-from .series import (
-    TruncatedSeries,
-    geometric_kernel,
-    partition_gf,
-    pentagonal_number,
-    triangular_number,
-)
+from .series import TruncatedSeries, pentagonal_number, triangular_number
 
 EQUALITY = "eq"
 NONNEGATIVE = "ge"
@@ -143,9 +137,13 @@ class TableStore:
     ``get("b_k_table", k, n_max)`` returns ``stats.b_k_table(k, n_max)``
     and calls it only on the first request for those arguments; every
     suite of the run that needs the table reads the same one.  The
-    function is looked up on ``stats`` at call time, so a patched or
-    traced replacement is the one that runs.  Each run makes its own
-    store, so no table outlives the run.
+    partition series is served the same way, as
+    ``get("partition_gf", n_max)``, and every table builder that reads it
+    (``stats.PARTITION_SERIES_TABLES``) gets the store's copy as
+    ``p_series``, so a run builds it once per order.  The function is
+    looked up on ``stats`` at call time, so a patched or traced
+    replacement is the one that runs.  Each run makes its own store, so
+    no table outlives the run.
     """
 
     def __init__(self):
@@ -155,7 +153,13 @@ class TableStore:
         key = (name, args)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = getattr(stats, name)(*args)
+            build = getattr(stats, name)
+            if name in stats.PARTITION_SERIES_TABLES:
+                # every table builder takes n_max as its last argument
+                table = build(*args, p_series=self.get("partition_gf", args[-1]))
+            else:
+                table = build(*args)
+            self._tables[key] = table
         return table
 
 
@@ -235,16 +239,6 @@ def verify_thmcomb(n_max, k_max, all_residues=True):
 # truncated pentagonal identity
 
 
-def _signed_shifts(values, terms):
-    """sum of sign * q^e * values over the (e, sign) in terms, as a list
-    truncated at len(values): one O(n) pass per term."""
-    out = [0] * len(values)
-    for e, sign in terms:
-        if e < len(out):
-            out[e:] = [o + sign * v for o, v in zip(out[e:], values)]
-    return out
-
-
 def _pentagonal_terms(ell):
     # (-1)^j q^(j(3j-1)/2) for j = -(ell-1)..ell.  Built here, not taken
     # from series.pentagonal_series, because stats.m_ell_table builds the
@@ -259,7 +253,7 @@ def _ell_sign(ell):
 
 def _truncated_pentagonal_lhs(b_tab, k, ell):
     # per n: (-1)^(ell-1) * (truncated pentagonal sum of b_k - n/k [k | n])
-    sums = _signed_shifts(b_tab.values, _pentagonal_terms(ell))
+    sums = TruncatedSeries(b_tab.values).shift_sum(_pentagonal_terms(ell)).coeffs
     sign = _ell_sign(ell)
     return [sign * (s - stats.divisor_term(n, k)) for n, s in enumerate(sums)]
 
@@ -299,7 +293,11 @@ def _trunc_corollary_cases(tables, config):
                 yield _case("Trunc-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0)
         # the bilateral sum: a pentagonal number <= n_max has
         # |j| <= isqrt(n_max), so ell = isqrt(n_max) + 1 reaches every one
-        infsum = _signed_shifts(b_tab.values, _pentagonal_terms(isqrt(n_max) + 1))
+        infsum = (
+            TruncatedSeries(b_tab.values)
+            .shift_sum(_pentagonal_terms(isqrt(n_max) + 1))
+            .coeffs
+        )
         for n in range(n_max + 1):
             yield _case(
                 "Trunc-infsum", {"k": k, "n": n}, infsum[n], stats.divisor_term(n, k)
@@ -334,7 +332,7 @@ def _gen17_sub(c_tab, k, n, indicator_form):
 
 def _truncated_theta_lhs(b_tab, c_tab, k, ell, corrected=True, indicator_form=False):
     # per n: (-1)^(ell-1) * (truncated theta sum of b_k - c_k(n))
-    sums = _signed_shifts(b_tab.values, _theta_terms(ell, corrected))
+    sums = TruncatedSeries(b_tab.values).shift_sum(_theta_terms(ell, corrected)).coeffs
     sign = _ell_sign(ell)
     return [
         sign * (s - _gen17_sub(c_tab, k, n, indicator_form))
@@ -355,7 +353,7 @@ def _gen17_cases(tables, config, indicator_form=False):
         b_tab = tables.get("b_k_table", k, n_max)
         c_tab = tables.get("c_k_table", k, n_max)
         # the full sum: j < 2(n_max + 1) reaches every triangular number <= n_max
-        infsum = _signed_shifts(b_tab.values, _theta_terms(n_max + 1))
+        infsum = TruncatedSeries(b_tab.values).shift_sum(_theta_terms(n_max + 1)).coeffs
         for ell in config.ells():
             rhs = _gen17_rhs(tables, k, ell, n_max)
             lhs = _truncated_theta_lhs(
@@ -478,12 +476,18 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 # overpartition identities
 
 
+def _colored_object_series(p_series, k):
+    # P2's product 1/(q;q)_inf * q^k/(1-q^k)^2, from the partition series:
+    # a shift and two O(n) divisions
+    return p_series.shifted(k).div_binomial(-1, k).div_binomial(-1, k).coeffs
+
+
 def _overpartition_cases(tables, config):
     # P1 compares a walk over partitions() with the part-value DP
     # stat_sum_tables, which never calls partitions(): two independent
     # counts.  The suite runs its own DP pass, as thmgf does.  P2 builds
-    # its series here, not from stats.b_k_table, so the suite reads no
-    # table of the store
+    # its series here from the store's partition series, not from
+    # stats.b_k_table, so the suite reads no statistic table of the store
     n_max = config.enum_n_max()
     ks = list(config.ks())
     if n_max < 1 or not ks:
@@ -492,8 +496,9 @@ def _overpartition_cases(tables, config):
     counts = [
         enumeration.overpartition_counts(n, ks) for n in range(1, n_max + 1)
     ]
+    p_series = tables.get("partition_gf", n_max)
     for k in ks:
-        a_series = (partition_gf(n_max) * geometric_kernel(k, n_max)).coeffs
+        a_series = _colored_object_series(p_series, k)
         for n, by_k in enumerate(counts, start=1):
             overlined_total, count_a = by_k[k]
             yield _case("P1", {"k": k, "n": n}, overlined_total, A[k - 1][0][n])

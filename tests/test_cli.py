@@ -1,16 +1,18 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import partitionlab
-from partitionlab import cli, stats
+from partitionlab import cli, stats, verify
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +176,20 @@ def test_verify_all_exit_0(capsys):
     assert out.rstrip().endswith("PASS")
 
 
+def test_verify_text_report_is_deterministic(capsys, monkeypatch):
+    args = ("verify", "all", "--n-max", "30", "--k", "1..3", "--format", "text")
+    _, first, _ = run_cli(capsys, *args)
+    _, second, _ = run_cli(capsys, *args)
+    assert first == second
+    # a clock that makes every suite take 1.5 s changes no byte either
+    ticks = itertools.count(step=1.5)
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks))
+    monkeypatch.setattr(verify, "time", clock)
+    _, slow, _ = run_cli(capsys, *args)
+    assert slow == first
+    assert first.splitlines()[0].split() == ["suite", "total", "failed"]
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "trunc", "--k", "2", "--ell", "1..4", "--n-max", "40"
@@ -280,6 +296,20 @@ def test_export_document_counts(capsys):
     assert len(doc) == 12
     assert doc["b/k=3"]["values"][5] == 2
     assert doc["a/k=3/p=2"]["values"][5] == 11
+
+
+def test_export_builds_the_partition_series_once(monkeypatch):
+    orders = []
+    real = stats.partition_gf
+
+    def counting(order):
+        orders.append(order)
+        return real(order)
+
+    monkeypatch.setattr(stats, "partition_gf", counting)
+    doc = cli.export_document(list("abc") + ["m", "mp", "q", "p"], (1, 5), (3, 3), 500)
+    assert len(doc) == 15 + 5 + 5 + 1 + 1 + 1 + 1
+    assert orders == [500]
 
 
 def test_export_p_zero_only(capsys):

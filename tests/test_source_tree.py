@@ -1,8 +1,10 @@
 """The package is one pure-Python implementation with no build step: no
 build script, no second (compiled) copy of the kernels, and no switch
 that selects between copies.  It keeps no module-global mutable state:
-no `global` statement rebinds a module name, and nothing imports
-`threading` to guard such state."""
+no `global` statement rebinds a module name, nothing imports
+`threading` to guard such state, and no `functools.cache` or
+`functools.lru_cache` memo keeps results from one call (or run) to the
+next."""
 
 import ast
 from pathlib import Path
@@ -40,11 +42,15 @@ def test_no_retired_backend_names():
             assert name not in text, (path.name, name)
 
 
-def test_no_global_statement_or_threading_import():
+def package_trees():
     for path in package_files():
-        if path.suffix != ".py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.suffix == ".py":
+            source = path.read_text(encoding="utf-8")
+            yield path, ast.parse(source, filename=str(path))
+
+
+def test_no_global_statement_or_threading_import():
+    for path, tree in package_trees():
         for node in ast.walk(tree):
             where = (path.name, getattr(node, "lineno", None))
             assert not isinstance(node, ast.Global), where
@@ -55,3 +61,29 @@ def test_no_global_statement_or_threading_import():
             else:
                 continue
             assert all(m.split(".")[0] != "threading" for m in modules), where
+
+
+MEMOS = ("cache", "lru_cache")
+
+
+def test_no_functools_memo():
+    # as a decorator or called, a memo is reached through the functools
+    # module (under any alias) or imported from it by name
+    for path, tree in package_trees():
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "functools"
+        }
+        for node in ast.walk(tree):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert not {alias.name for alias in node.names} & set(MEMOS), where
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                assert node.attr not in MEMOS, where

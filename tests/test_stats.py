@@ -6,7 +6,17 @@ from functools import partial
 import pytest
 
 from partitionlab import enumeration, stats
-from partitionlab.series import TruncatedSeries, gaussian_binomial, partition_gf
+from partitionlab.series import (
+    INFINITE,
+    ProductSpec,
+    TruncatedSeries,
+    gaussian_binomial,
+    geometric_kernel,
+    partition_gf,
+    pentagonal_series,
+    product,
+    theta_truncated,
+)
 from partitionlab.stats import (
     StatTable,
     a_k_table,
@@ -295,6 +305,66 @@ def test_divisor_term_domain():
         divisor_term(-1, 2)
     with pytest.raises(ValueError):
         divisor_term(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the short-factor builders against their convolution forms
+
+
+def signed_count(series, ell):
+    # (-1)^(ell-1) * (series - 1), the form in which M_ell and MP_ell are read
+    sign = -1 if ell % 2 == 0 else 1
+    coeffs = [sign * c for c in series.coeffs]
+    coeffs[0] -= sign
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 60, 240, 500])
+def test_short_factor_builders_match_their_convolutions(n_max):
+    # each builder multiplies by its short factor in O(n) steps; the dense
+    # products they replaced are the oracles
+    gf = partition_gf(n_max)
+    for k in range(1, 7):
+        oracle = (geometric_kernel(k, n_max) * gf).coeffs
+        assert b_k_table(k, n_max).values == oracle, k
+    odd = product([(ProductSpec(1, 1, 2), INFINITE)], n_max)
+    even = product([(ProductSpec(-1, 2, 2), INFINITE)], n_max)
+    mp_base = odd * even.invert()
+    for ell in range(1, 6):
+        pentagonal = pentagonal_series(n_max, ell) * gf
+        assert stats._m_ell_from_pentagonal(ell, gf) == signed_count(pentagonal, ell)
+        theta = theta_truncated(ell, n_max) * mp_base
+        assert mp_ell_table(ell, n_max).values == signed_count(theta, ell), ell
+
+
+def test_a_given_partition_series_is_the_one_read():
+    # every builder that takes p_series gives the same table with it as
+    # without it, and reads it: a doctored series shows in the table
+    n_max = 40
+    gf = partition_gf(n_max)
+    doctored = TruncatedSeries(gf.coeffs[:7] + (gf[7] + 1,) + gf.coeffs[8:])
+    args = {
+        "p_table": (),
+        "a_kp_table": (3, 1),
+        "a_k_table": (2,),
+        "b_k_table": (2,),
+        "m_ell_table_pdiff": (2,),
+    }
+    assert set(args) | {"m_ell_table"} == stats.PARTITION_SERIES_TABLES
+    for name, head in args.items():
+        build = getattr(stats, name)
+        plain = build(*head, n_max)
+        assert build(*head, n_max, p_series=gf) == plain, name
+        assert build(*head, n_max, p_series=doctored) != plain, name
+    # m_ell_table checks the given series against its Gaussian route
+    assert m_ell_table(2, n_max, p_series=gf) == m_ell_table(2, n_max)
+    with pytest.raises(ArithmeticError):
+        m_ell_table(2, n_max, p_series=doctored)
+
+
+def test_a_partition_series_of_another_order_is_refused():
+    with pytest.raises(ValueError, match="order 30"):
+        b_k_table(2, 40, p_series=partition_gf(30))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from partitionlab import enumeration, stats, verify
+from partitionlab.series import TruncatedSeries, geometric_kernel, partition_gf
 from partitionlab.verify import (
     RunConfig,
     bad_exponent_witness_report,
@@ -176,8 +177,8 @@ def corrupt_b_tables(monkeypatch):
     # every b_k table reads one too many at n = 7
     real = stats.b_k_table
 
-    def corrupted(k, n_max):
-        table = real(k, n_max)
+    def corrupted(k, n_max, **kwargs):
+        table = real(k, n_max, **kwargs)
         values = list(table.values)
         if len(values) > 7:
             values[7] += 1
@@ -201,8 +202,8 @@ def test_corrupted_m_entry_fails_trunc_from_i_plus_k(monkeypatch, k, ell, i):
     # n = i + kj, j >= 1, so the sweep fails there and nowhere else
     real = stats.m_ell_table
 
-    def corrupted(ell_, n_max):
-        table = real(ell_, n_max)
+    def corrupted(ell_, n_max, **kwargs):
+        table = real(ell_, n_max, **kwargs)
         values = list(table.values)
         values[i] += 1
         return stats.StatTable(table.stat_id, table.params, tuple(values))
@@ -245,9 +246,9 @@ def count_table_builds(monkeypatch):
     builds = Counter()
 
     def counting(name, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             builds[(name, args)] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapper
 
@@ -316,6 +317,60 @@ def test_no_statistic_sum_outlives_a_run(monkeypatch):
     ]
     monkeypatch.undo()
     assert all(r.passed for r in run_all(config))
+
+
+def count_partition_series_builds(monkeypatch):
+    """Wrap stats.partition_gf, where the store and the table builders
+    look it up; return the Counter of its orders."""
+    builds = Counter()
+    real = stats.partition_gf
+
+    def counting(order):
+        builds[order] += 1
+        return real(order)
+
+    monkeypatch.setattr(stats, "partition_gf", counting)
+    return builds
+
+
+def test_run_all_builds_the_partition_series_once_per_order(monkeypatch):
+    builds = count_partition_series_builds(monkeypatch)
+    reports = run_all(RunConfig(n_max=240, k_range=(1, 5)))
+    assert all(r.passed for r in reports)
+    # thmgf and overpartitions read order 30 (the enum cap), trunc, gen17
+    # and m-routes order 240, thmcomb order 240 + k + 1 for each k
+    assert builds == Counter({30: 1, 240: 1, 242: 1, 243: 1, 244: 1, 245: 1, 246: 1})
+
+
+def test_no_partition_series_outlives_a_run(monkeypatch):
+    # the store of each run builds its own series, so one patched between
+    # two runs reaches every table built from it in the next run, and
+    # P2's series too.  Each is p(n) times a factor of positive degree, so
+    # the doctored p(7) shows from n = 8 on
+    config = RunConfig(n_max=20, enum_cap=12)
+    suites = {"thmgf", "overpartitions"}
+    assert all(r.passed for r in run_all(config, suites))
+    real = stats.partition_gf
+
+    def doctored(order):
+        coeffs = list(real(order).coeffs)
+        coeffs[7] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(stats, "partition_gf", doctored)
+    failures = [c for r in run_all(config, suites) for c in r.failures]
+    assert {c.identity_id for c in failures} == {"ThmGF-b", "ThmGF-a", "ThmGF-ap", "P2"}
+    assert min(c.params["n"] for c in failures) == 8
+    monkeypatch.undo()
+    assert all(r.passed for r in run_all(config, suites))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 60, 240, 500])
+def test_colored_object_series_matches_its_convolution(n_max):
+    gf = partition_gf(n_max)
+    for k in range(1, 7):
+        oracle = (geometric_kernel(k, n_max) * gf).coeffs
+        assert verify._colored_object_series(gf, k) == oracle, k
 
 
 def test_table_store_builds_on_first_request_only(monkeypatch):
