@@ -7,12 +7,16 @@ statistics come from a dynamic program over part values that adds up
 every partition of each total at once (`stat_sum_tables`); each of the
 lookups `a_kp`, `a_k` and `b_k` runs one such pass, so callers that need
 many values call `stat_sum_tables` once and index its tables.  The
-module keeps no state between calls.  The other statistics walk the
-objects one by one.  Partitions are represented as weakly
-decreasing tuples of positive integers; the empty tuple is the single
-partition of 0.  `partitions` walks them with the ZS1 generator of
-Zoghbi & Stojmenovic, in constant amortized time per partition besides
-the copy of each yielded tuple.
+module keeps no state between calls.  The marked-overpartition counts
+come from one depth-first walk over every partition of every total up
+to a bound, in multiplicity form, that counts the marked objects of each
+partition in closed form (`overpartition_counts`); the generators
+`overpartitions_p` and `overpartitions_a` build the objects themselves
+and are its oracle.  The other statistics walk the objects one by one.
+Partitions are represented as weakly decreasing tuples of positive
+integers; the empty tuple is the single partition of 0.  `partitions`
+walks them with the ZS1 generator of Zoghbi & Stojmenovic, in constant
+amortized time per partition besides the copy of each yielded tuple.
 
 The statistics are capped (PARTITION_SWEEP_CAP / SUBSET_SWEEP_CAP) so
 the oracle suite stays fast; pass an explicit `cap` to go further.
@@ -307,47 +311,84 @@ def overpartitions_a(n, k):
                 yield OverpartitionMarked(parts, v, w)
 
 
-def overpartition_counts(n, ks):
-    """For each k in ks, the overlined total of overpartitions_p(n, k) and
-    the number of objects overpartitions_a(n, k) yields, as
-    {k: (overlined_total, colored_count)}.
+def overpartition_counts(n_max, ks):
+    """For each k in ks, the overlined totals of overpartitions_p(n, k) and
+    the numbers of objects overpartitions_a(n, k) yields, for every
+    n = 0..n_max, as {k: (overlined, colored)} with two tuples indexed by n.
 
-    One walk over the partitions of n serves every k, and no object is
-    built: a partition with d distinct values divisible by k, t of them
-    occurring at least twice, carries d overlined objects (one per value)
-    and d + d^2 - (d - t) = d^2 + t colored ones (each overlined value
-    alone, or with a colored value, which may be itself only if repeated).
-    d and t come from one pass over the descending parts, which touches
-    only the ks dividing each value.
+    No object is built: a partition with d distinct values divisible by
+    k, t of them occurring at least twice, carries d overlined objects
+    (one per value) and d + d^2 - (d - t) = d^2 + t colored ones (each
+    overlined value alone, or with a colored value, which may be itself
+    only if repeated).
+
+    One depth-first walk serves every n and every k.  Its nodes are the
+    partitions of every total <= n_max in multiplicity form: a child adds
+    a value v smaller than every value of its parent, with multiplicity
+    m >= 1, so each partition is visited once.  The per-k counters (the
+    overlined total, d^2 + t, and d) are packed into fields of one int
+    each, so a node costs O(1) big-int operations however many ks there
+    are.  A value-1 child has no children of its own: the leaves that add
+    1 with multiplicity 1, 2, ... to a node of total s are counted without
+    a visit, as one entry at s + 1 of a table that is summed up to each n
+    at the end (the counters of m >= 2 all equal that of m = 2, one more
+    repeated value), so only the partitions without a part 1 are visited.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ks = list(ks)
-    if any(k < 1 for k in ks):
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    ks = sorted(set(ks))
+    if ks and ks[0] < 1:
         raise ValueError("k must be >= 1")
-    # dividing[v]: the positions in ks of the k that divide v
-    dividing = [[i for i, k in enumerate(ks) if v % k == 0] for v in range(n + 1)]
-    width = len(ks)
-    overlined = [0] * width
-    colored = [0] * width
-    for parts in partitions(n):
-        d = [0] * width
-        t = [0] * width
-        prev = 0
-        for v in parts:
-            if v != prev:
-                prev = v
-                repeated = False
-                for i in dividing[v]:
-                    overlined[i] += v
-                    d[i] += 1
-            elif not repeated:
-                repeated = True
-                for i in dividing[v]:
-                    t[i] += 1
-        for i in range(width):
-            colored[i] += d[i] * d[i] + t[i]
-    return {k: (overlined[i], colored[i]) for i, k in enumerate(ks)}
+    # per partition the overlined total is <= n and d^2 + t <= n^2 + n,
+    # so each field of a row stays below (n_max + 1)^2 p(n_max)
+    p_top = partition_count_table(n_max)[n_max]
+    width = ((n_max + 1) ** 2 * p_top).bit_length()
+    field = (1 << width) - 1
+    # the overlined total of k sits in field i, d^2 + t (and, in the
+    # second int of a node, d) in field K + i, for the i-th k
+    K = len(ks)
+    over = [0] * (n_max + 2)  # v in the overlined field of each k | v
+    ones = [0] * (n_max + 2)  # 1 in the colored field of each k | v
+    sel = [0] * (n_max + 2)  # the whole colored field of each k | v
+    for v in range(1, n_max + 1):
+        for i, k in enumerate(ks):
+            if v % k == 0:
+                over[v] += v << (i * width)
+                ones[v] += 1 << ((K + i) * width)
+                sel[v] += field << ((K + i) * width)
+    rows = [0] * (n_max + 1)  # the visited nodes, at their own total
+    tail = [0] * (n_max + 2)  # the value-1 leaves, summed up to n at the end
+
+    def visit(s, top, counts, d):
+        # the partition of total s with smallest value top, counters
+        # packed in counts and d; adding v with d_k distinct multiples
+        # of k so far raises d_k^2 + t_k by 2 d_k + 1, plus 1 if m >= 2
+        rows[s] += counts
+        if s == n_max:
+            return
+        tail[s + 1] += counts + over[1] + ones[1] + ((d & sel[1]) << 1)
+        tail[s + 2] += ones[1]
+        for v in range(2, min(top, n_max - s + 1)):
+            step = ones[v]
+            child = counts + over[v] + ((d & sel[v]) << 1) + step
+            child_d = d + step
+            visit(s + v, v, child, child_d)
+            child += step
+            for t in range(s + 2 * v, n_max + 1, v):
+                visit(t, v, child, child_d)
+
+    visit(0, n_max + 1, 0, 0)
+    total = 0
+    for n in range(n_max + 1):
+        total += tail[n]
+        rows[n] += total
+    return {
+        k: (
+            tuple((row >> (i * width)) & field for row in rows),
+            tuple((row >> ((K + i) * width)) & field for row in rows),
+        )
+        for i, k in enumerate(ks)
+    }
 
 
 def mp_ell(n, ell, cap=None):

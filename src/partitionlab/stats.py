@@ -20,19 +20,21 @@ from .series import (
     triangular_number,
 )
 
-# the table builders that read the partition series 1/(q;q)_inf and take
-# it as the keyword p_series, so that a caller building many tables of
-# one order (verify.TableStore) builds the series once
-PARTITION_SERIES_TABLES = frozenset(
-    {
-        "p_table",
-        "a_kp_table",
-        "a_k_table",
-        "b_k_table",
-        "m_ell_table",
-        "m_ell_table_pdiff",
-    }
-)
+# table builder -> (keyword, builder of the base series it reads): each
+# table builder that reads a base series, such as the partition series
+# 1/(q;q)_inf, also takes it through that keyword, so that a caller
+# building many tables of one order (verify.TableStore) builds it once
+_P_SERIES = ("p_series", "partition_gf")
+BASE_SERIES = {
+    "p_table": _P_SERIES,
+    "a_kp_table": _P_SERIES,
+    "a_k_table": _P_SERIES,
+    "b_k_table": _P_SERIES,
+    "m_ell_table": _P_SERIES,
+    "m_ell_table_pdiff": _P_SERIES,
+    "c_k_table": ("q2_series", "q_squared_gf"),
+    "mp_ell_table": ("mp_base", "mp_base_gf"),
+}
 
 
 @dataclass
@@ -66,16 +68,35 @@ class StatTable:
         return len(self.values)
 
 
-def _partition_series(n_max, p_series):
-    """p_series, which must be 1/(q;q)_inf at order n_max, or when it is
-    None that series built here."""
-    if p_series is None:
-        return partition_gf(n_max)
-    if p_series.order != n_max:
+def _base_series(given, keyword, build, n_max):
+    """given, the series a table builder was passed as keyword, which must
+    have order n_max, or when it is None the series build(n_max)."""
+    if given is None:
+        return build(n_max)
+    if given.order != n_max:
         raise ValueError(
-            "p_series has order %d, the table n_max=%d" % (p_series.order, n_max)
+            "%s has order %d, the table n_max=%d" % (keyword, given.order, n_max)
         )
-    return p_series
+    return given
+
+
+def _partition_series(n_max, p_series):
+    # partition_gf is looked up here at call time, so a patched one runs
+    return _base_series(p_series, "p_series", partition_gf, n_max)
+
+
+def q_squared_gf(n_max):
+    """Q(q^2) = (-q^2;q^2)_inf, the base series of c_k."""
+    return product([(ProductSpec(1, 2, 2), INFINITE)], n_max)
+
+
+def mp_base_gf(n_max):
+    """(-q;q^2)_inf/(q^2;q^2)_inf, the base series of MP_ell: the product of
+    the odd factors, then one O(n) division per even factor."""
+    base = product([(ProductSpec(1, 1, 2), INFINITE)], n_max)
+    for e in range(2, n_max + 1, 2):
+        base = base.div_binomial(-1, e)
+    return base
 
 
 def p_table(n_max, *, p_series=None):
@@ -130,16 +151,17 @@ def a_k_table(k, n_max, *, p_series=None):
     return a_kp_table(k, 0, n_max, p_series=p_series)
 
 
-def c_k_table(k, n_max):
+def c_k_table(k, n_max, *, q2_series=None):
     """c_k(n) = sum_{j=1..floor(n/k)} j * Q((n-kj)/2), zero terms whenever
     (n-kj)/2 is not a nonnegative integer; Q(0) = 1 is included.
 
-    Generating function: Q(q^2) * q^k/(1-q^k)^2, with Q(q^2) = (-q^2;q^2)_inf.
+    Generating function: Q(q^2) * q^k/(1-q^k)^2, with Q(q^2) = (-q^2;q^2)_inf
+    (q_squared_gf, or q2_series when given).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     # q^k/(1-q^k)^2 is a shift and two O(n) divisions
-    q_squared = product([(ProductSpec(1, 2, 2), INFINITE)], n_max)
+    q_squared = _base_series(q2_series, "q2_series", q_squared_gf, n_max)
     series = q_squared.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
     return StatTable("c", {"k": k}, series.coeffs)
 
@@ -223,20 +245,18 @@ def m_ell_table_pdiff(ell, n_max, *, p_series=None):
     return StatTable("m", {"ell": ell}, tuple(out))
 
 
-def mp_ell_table(ell, n_max):
+def mp_ell_table(ell, n_max, *, mp_base=None):
     """MP_ell(n) via the truncated triangular theta:
-    (-1)^(ell-1) * ( (-q;q^2)_inf/(q^2;q^2)_inf * theta_ell - 1 ).
+    (-1)^(ell-1) * ( (-q;q^2)_inf/(q^2;q^2)_inf * theta_ell - 1 ), the
+    base series being mp_base_gf, or mp_base when given.
 
     The result counts partitions, so every entry must be >= 0 and the
     constant term 0; violations raise.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    # (-q;q^2)_inf/(q^2;q^2)_inf is the product of the odd factors, then
-    # one O(n) division per even factor; theta_ell has 2*ell terms
-    base = product([(ProductSpec(1, 1, 2), INFINITE)], n_max)
-    for e in range(2, n_max + 1, 2):
-        base = base.div_binomial(-1, e)
+    # theta_ell has 2*ell terms
+    base = _base_series(mp_base, "mp_base", mp_base_gf, n_max)
     series = base.mul_sparse(theta_truncated(ell, n_max))
     sign = -1 if ell % 2 == 0 else 1
     coeffs = [sign * c for c in series.coeffs]

@@ -108,6 +108,12 @@ class RunConfig:
         """The n bound of the enumeration-backed suites."""
         return min(self.enum_cap, self.n_max)
 
+    def series_order(self):
+        """The largest order at which a run reads a series: thmcomb reads
+        b_k(n + k - p), so up to n_max + k + 1 for the largest k."""
+        ks = self.ks()
+        return self.n_max + ks[-1] + 1 if ks else self.n_max
+
 
 def _case(identity_id, params, lhs, rhs):
     if IDENTITY_RELATIONS[identity_id] == NONNEGATIVE:
@@ -131,36 +137,53 @@ def _report(suite_id, range_desc, cases):
 # the tables of one run
 
 
+# the builders of the base series that table builders read
+_BASE_SERIES_BUILDERS = frozenset(base for _, base in stats.BASE_SERIES.values())
+
+
 class TableStore:
     """The statistic tables of one verification run, each built once.
 
     ``get("b_k_table", k, n_max)`` returns ``stats.b_k_table(k, n_max)``
     and calls it only on the first request for those arguments; every
-    suite of the run that needs the table reads the same one.  The
-    partition series is served the same way, as
-    ``get("partition_gf", n_max)``, and every table builder that reads it
-    (``stats.PARTITION_SERIES_TABLES``) gets the store's copy as
-    ``p_series``, so a run builds it once per order.  The function is
-    looked up on ``stats`` at call time, so a patched or traced
-    replacement is the one that runs.  Each run makes its own store, so
-    no table outlives the run.
+    suite of the run that needs the table reads the same one.  The base
+    series of the tables (``stats.BASE_SERIES``: the partition series,
+    Q(q^2) and the MP base) are served the same way, as
+    ``get("partition_gf", n_max)`` and so on, and every table builder
+    that reads one gets the store's copy through its keyword.  A base
+    series is built once, at series_order or at the order asked for if
+    that is larger; a smaller order is served as its prefix, which is
+    exact, so a store given the largest order its run reads builds each
+    base series once.  The function is looked up on ``stats`` at call
+    time, so a patched or traced replacement is the one that runs.  Each
+    run makes its own store, so no table outlives the run.
     """
 
-    def __init__(self):
+    def __init__(self, series_order=0):
+        self._series_order = series_order
         self._tables = {}
 
     def get(self, name, *args):
         key = (name, args)
         table = self._tables.get(key)
         if table is None:
-            build = getattr(stats, name)
-            if name in stats.PARTITION_SERIES_TABLES:
-                # every table builder takes n_max as its last argument
-                table = build(*args, p_series=self.get("partition_gf", args[-1]))
-            else:
-                table = build(*args)
+            table = self._build(name, args)
             self._tables[key] = table
         return table
+
+    def _build(self, name, args):
+        build = getattr(stats, name)
+        if name in _BASE_SERIES_BUILDERS:
+            (order,) = args
+            if order < self._series_order:
+                full = self.get(name, self._series_order)
+                return TruncatedSeries(full.coeffs[: order + 1])
+            return build(order)
+        if name in stats.BASE_SERIES:
+            keyword, base = stats.BASE_SERIES[name]
+            # every table builder takes n_max as its last argument
+            return build(*args, **{keyword: self.get(base, args[-1])})
+        return build(*args)
 
 
 def _run_suite(suite_id, config, tables=None):
@@ -483,27 +506,25 @@ def _colored_object_series(p_series, k):
 
 
 def _overpartition_cases(tables, config):
-    # P1 compares a walk over partitions() with the part-value DP
-    # stat_sum_tables, which never calls partitions(): two independent
-    # counts.  The suite runs its own DP pass, as thmgf does.  P2 builds
-    # its series here from the store's partition series, not from
+    # P1 compares one walk over every partition with the part-value DP
+    # stat_sum_tables, which walks no partition: two independent counts.
+    # The suite runs its own DP pass, as thmgf does.  P2 builds its
+    # series here from the store's partition series, not from
     # stats.b_k_table, so the suite reads no statistic table of the store
     n_max = config.enum_n_max()
     ks = list(config.ks())
     if n_max < 1 or not ks:
         return
     A = enumeration.stat_sum_tables(n_max, max(ks))[0]
-    counts = [
-        enumeration.overpartition_counts(n, ks) for n in range(1, n_max + 1)
-    ]
+    counts = enumeration.overpartition_counts(n_max, ks)
     p_series = tables.get("partition_gf", n_max)
     for k in ks:
         a_series = _colored_object_series(p_series, k)
-        for n, by_k in enumerate(counts, start=1):
-            overlined_total, count_a = by_k[k]
-            yield _case("P1", {"k": k, "n": n}, overlined_total, A[k - 1][0][n])
-            yield _case("P2", {"k": k, "n": n}, count_a, a_series[n])
-            yield _case("P3", {"k": k, "n": n}, overlined_total, k * count_a)
+        overlined, colored = counts[k]
+        for n in range(1, n_max + 1):
+            yield _case("P1", {"k": k, "n": n}, overlined[n], A[k - 1][0][n])
+            yield _case("P2", {"k": k, "n": n}, colored[n], a_series[n])
+            yield _case("P3", {"k": k, "n": n}, overlined[n], k * colored[n])
 
 
 def verify_overpartition_identities(k, n_max):
@@ -577,7 +598,7 @@ def run_all(config=None, suites=None):
     """
     config = config or RunConfig()
     config.validate()
-    tables = TableStore()
+    tables = TableStore(config.series_order())
     return [
         _run_suite(sid, config, tables)
         for sid in SUITE_ORDER

@@ -312,6 +312,20 @@ def test_export_builds_the_partition_series_once(monkeypatch):
     assert orders == [500]
 
 
+def test_export_builds_each_base_series_once(monkeypatch):
+    # c_k for every k shares one Q(q^2), MP_ell for every ell one base
+    orders = []
+    for name in ("q_squared_gf", "mp_base_gf"):
+
+        def counting(order, name=name, real=getattr(stats, name)):
+            orders.append((name, order))
+            return real(order)
+
+        monkeypatch.setattr(stats, name, counting)
+    cli.export_document(["c", "mp"], (1, 5), (1, 3), 100)
+    assert sorted(orders) == [("mp_base_gf", 100), ("q_squared_gf", 100)]
+
+
 def test_export_p_zero_only(capsys):
     code, out, _ = run_cli(
         capsys,

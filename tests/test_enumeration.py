@@ -23,6 +23,7 @@ from partitionlab.enumeration import (
     partition_count_table,
     partitions,
     q_distinct,
+    stat_sum_tables,
 )
 
 # ---------------------------------------------------------------------------
@@ -277,12 +278,28 @@ def test_overlined_totals_equal_a_statistic():
 
 def test_overpartition_counts_match_the_generators():
     # the closed form d^2 + t against the objects the generators build
-    for n in range(1, 26):
-        counts = overpartition_counts(n, range(1, 6))
-        for k in range(1, 6):
+    counts = overpartition_counts(25, range(1, 6))
+    for k in range(1, 6):
+        overlined, colored = counts[k]
+        assert (overlined[0], colored[0]) == (0, 0)
+        for n in range(1, 26):
             total = sum(o.overlined for o in overpartitions_p(n, k))
-            colored = sum(1 for _ in overpartitions_a(n, k))
-            assert counts[k] == (total, colored), (n, k)
+            count = sum(1 for _ in overpartitions_a(n, k))
+            assert (overlined[n], colored[n]) == (total, count), (n, k)
+
+
+def test_overpartition_counts_fit_their_fields_at_the_largest_golden_cap():
+    # the walk packs the per-k counters into fields of one int; a field
+    # that overflowed would carry into its neighbour and break P1 or P3.
+    # enum cap 45 with k 1..6 is the largest a verify golden runs
+    n_max, ks = 45, range(1, 7)
+    A = stat_sum_tables(n_max, max(ks))[0]
+    counts = overpartition_counts(n_max, ks)
+    for k in ks:
+        overlined, colored = counts[k]
+        for n in range(n_max + 1):
+            assert overlined[n] == A[k - 1][0][n], (k, n)
+            assert overlined[n] == k * colored[n], (k, n)
 
 
 def test_overpartition_domain():
@@ -291,7 +308,8 @@ def test_overpartition_domain():
     with pytest.raises(ValueError):
         list(overpartitions_a(3, 0))
     with pytest.raises(ValueError):
-        overpartition_counts(0, [1])
+        overpartition_counts(-1, [1])
+    assert overpartition_counts(0, [1, 3]) == {1: ((0,), (0,)), 3: ((0,), (0,))}
     with pytest.raises(ValueError):
         overpartition_counts(3, [2, 0])
 

@@ -28,16 +28,22 @@ def test_partitions_match_the_recursive_reference(n, max_part):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(1, 16),
-    ks=st.lists(st.integers(1, 7), max_size=5),
+    n_max=st.integers(0, 25),
+    ks=st.lists(st.integers(1, 30), max_size=5),
 )
-def test_overpartition_counts_match_the_generators(n, ks):
-    # ks unsorted and possibly repeated: each k is counted on its own
+def test_overpartition_counts_match_the_generators(n_max, ks):
+    # ks unsorted, possibly repeated and possibly above n_max: each k
+    # gets its own rows, which the generators rebuild object by object
     expected = {
         k: (
-            sum(o.overlined for o in overpartitions_p(n, k)),
-            sum(1 for _ in overpartitions_a(n, k)),
+            (0,) + tuple(
+                sum(o.overlined for o in overpartitions_p(n, k))
+                for n in range(1, n_max + 1)
+            ),
+            (0,) + tuple(
+                sum(1 for _ in overpartitions_a(n, k)) for n in range(1, n_max + 1)
+            ),
         )
         for k in ks
     }
-    assert overpartition_counts(n, ks) == expected
+    assert overpartition_counts(n_max, ks) == expected

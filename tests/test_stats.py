@@ -350,7 +350,10 @@ def test_a_given_partition_series_is_the_one_read():
         "b_k_table": (2,),
         "m_ell_table_pdiff": (2,),
     }
-    assert set(args) | {"m_ell_table"} == stats.PARTITION_SERIES_TABLES
+    p_series_tables = {
+        name for name, (kw, _) in stats.BASE_SERIES.items() if kw == "p_series"
+    }
+    assert set(args) | {"m_ell_table"} == p_series_tables
     for name, head in args.items():
         build = getattr(stats, name)
         plain = build(*head, n_max)
@@ -365,6 +368,30 @@ def test_a_given_partition_series_is_the_one_read():
 def test_a_partition_series_of_another_order_is_refused():
     with pytest.raises(ValueError, match="order 30"):
         b_k_table(2, 40, p_series=partition_gf(30))
+
+
+@pytest.mark.parametrize(
+    "name,head,keyword,base",
+    [
+        ("c_k_table", (3,), "q2_series", "q_squared_gf"),
+        ("mp_ell_table", (1,), "mp_base", "mp_base_gf"),
+    ],
+)
+def test_a_given_base_series_is_the_one_read(name, head, keyword, base):
+    # c_k reads Q(q^2) and MP_ell its base through a keyword, as the
+    # p_series builders read P: the same table with the series given as
+    # without it, a doctored series shows, and another order is refused
+    assert stats.BASE_SERIES[name] == (keyword, base)
+    n_max = 40
+    build, series = getattr(stats, name), getattr(stats, base)(n_max)
+    plain = build(*head, n_max)
+    doctored = TruncatedSeries(
+        series.coeffs[:7] + (series[7] + 1,) + series.coeffs[8:]
+    )
+    assert build(*head, n_max, **{keyword: series}) == plain
+    assert build(*head, n_max, **{keyword: doctored}) != plain
+    with pytest.raises(ValueError, match="%s has order 30" % keyword):
+        build(*head, n_max, **{keyword: getattr(stats, base)(30)})
 
 
 # ---------------------------------------------------------------------------

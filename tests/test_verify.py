@@ -215,18 +215,30 @@ def test_corrupted_m_entry_fails_trunc_from_i_plus_k(monkeypatch, k, ell, i):
 
 
 def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
-    # P1 sets the partitions() walk against the part-value DP behind a_k,
-    # which never calls partitions(); losing one partition of 7 from
-    # the walk must fail P1, and leave a suite that never walks it green
-    real = enumeration.partitions
+    # P1 sets the overpartition walk against the part-value DP behind a_k,
+    # which walks no partition; losing one partition of 7 from the walk
+    # must fail P1, and leave a suite that never walks it green.  The
+    # walk's rows are the sums of what each partition carries, so the
+    # partition (4, 3) is dropped by taking its share out of row 7: for
+    # each k, the overlined total and d^2 + t of its distinct values
+    # divisible by k (d of them, t repeated)
+    real = enumeration.overpartition_counts
+    mults = enumeration.part_multiplicities((4, 3))
 
-    def dropping(n, max_part=None):
-        stream = real(n, max_part)
-        if n == 7 and max_part is None:
-            next(stream)
-        return stream
+    def dropping(n_max, ks):
+        counts = real(n_max, ks)
+        if n_max < 7:
+            return counts
+        for k, (overlined, colored) in counts.items():
+            values = [v for v in mults if v % k == 0]
+            d, t = len(values), sum(1 for v in values if mults[v] > 1)
+            overlined, colored = list(overlined), list(colored)
+            overlined[7] -= sum(values)
+            colored[7] -= d * d + t
+            counts[k] = (tuple(overlined), tuple(colored))
+        return counts
 
-    monkeypatch.setattr(enumeration, "partitions", dropping)
+    monkeypatch.setattr(enumeration, "overpartition_counts", dropping)
     report = verify_overpartition_identities(1, 10)
     assert not report.passed
     first = report.first_failure
@@ -337,9 +349,35 @@ def test_run_all_builds_the_partition_series_once_per_order(monkeypatch):
     builds = count_partition_series_builds(monkeypatch)
     reports = run_all(RunConfig(n_max=240, k_range=(1, 5)))
     assert all(r.passed for r in reports)
-    # thmgf and overpartitions read order 30 (the enum cap), trunc, gen17
-    # and m-routes order 240, thmcomb order 240 + k + 1 for each k
-    assert builds == Counter({30: 1, 240: 1, 242: 1, 243: 1, 244: 1, 245: 1, 246: 1})
+    # thmcomb reads the largest order, 240 + k + 1 for k = 5; thmgf and
+    # overpartitions (order 30, the enum cap), trunc, gen17 and m-routes
+    # (order 240) and thmcomb at the smaller k read prefixes of that one
+    assert builds == Counter({246: 1})
+
+
+def test_run_all_builds_the_c_and_mp_bases_once(monkeypatch):
+    # Q(q^2), read by every c_k, and the MP base, read by every MP_ell,
+    # are built once per run, as P is, at the largest order any suite
+    # reads (thmcomb's 60 + 5 + 1); gen17 reads prefixes of them
+    builds = Counter()
+    for name in ("q_squared_gf", "mp_base_gf"):
+
+        def counting(order, name=name, real=getattr(stats, name)):
+            builds[(name, order)] += 1
+            return real(order)
+
+        monkeypatch.setattr(stats, name, counting)
+    reports = run_all(RunConfig(n_max=60, k_range=(1, 5)))
+    assert all(r.passed for r in reports)
+    assert builds == Counter({("q_squared_gf", 66): 1, ("mp_base_gf", 66): 1})
+
+
+def test_store_serves_a_smaller_order_as_an_exact_prefix():
+    tables = verify.TableStore(50)
+    for name in ("partition_gf", "q_squared_gf", "mp_base_gf"):
+        assert tables.get(name, 20) == getattr(stats, name)(20), name
+    # an order above the store's is built at that order
+    assert tables.get("partition_gf", 70) == partition_gf(70)
 
 
 def test_no_partition_series_outlives_a_run(monkeypatch):
