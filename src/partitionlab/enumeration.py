@@ -22,7 +22,7 @@ The statistics are capped (PARTITION_SWEEP_CAP / SUBSET_SWEEP_CAP) so
 the oracle suite stays fast; pass an explicit `cap` to go further.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import pentagonal_number
 
@@ -263,17 +263,12 @@ def _subsets_below(bound, top):
     )
 
 
-@dataclass(frozen=True)
-class OverpartitionMarked:
-    """A partition with one overlined part value and optionally one colored one.
-
-    Overline and color mark distinct part occurrences, so colored may
-    equal overlined only when that value occurs at least twice in base.
-    """
-
-    base: tuple
-    overlined: int
-    colored: int | None = None
+# A partition with one overlined part value and optionally one colored
+# one.  Overline and color mark distinct part occurrences, so colored may
+# equal overlined only when that value occurs at least twice in base.
+OverpartitionMarked = namedtuple(
+    "OverpartitionMarked", "base overlined colored", defaults=(None,)
+)
 
 
 def overpartitions_p(n, k):

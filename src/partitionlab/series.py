@@ -12,32 +12,30 @@ Gaussian binomial polynomials and the weighted geometric kernel
 sum_m m q^(k m).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 
 INFINITE = None  # factor count for unbounded Pochhammer products
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(namedtuple("ProductSpec", "sign offset step")):
     """One geometric family of product factors (1 + sign*q^(offset + j*step)).
 
     sign=-1, offset=1, step=1 gives the Euler product (q;q)_inf;
     sign=+1 gives the corresponding (-q^offset; q^step)_inf factors.
     """
 
-    sign: int
-    offset: int
-    step: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, sign, offset, step):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.offset < 1:
+        if offset < 1:
             raise ValueError("offset must be >= 1")
-        if self.step < 1:
+        if step < 1:
             raise ValueError("step must be >= 1")
+        return super().__new__(cls, sign, offset, step)
 
 
 class TruncatedSeries:

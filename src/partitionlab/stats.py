@@ -5,8 +5,6 @@ computed exactly from truncated series arithmetic (never by enumerating
 partitions; the `enumeration` module is the independent cross-check).
 """
 
-from dataclasses import dataclass, field
-
 from .series import (
     INFINITE,
     ProductSpec,
@@ -37,7 +35,6 @@ BASE_SERIES = {
 }
 
 
-@dataclass
 class StatTable:
     """A statistic's values indexed by n = 0..n_max.
 
@@ -46,9 +43,21 @@ class StatTable:
     treated as zero.
     """
 
-    stat_id: str
-    params: dict = field(default_factory=dict)
-    values: tuple = ()
+    __slots__ = ("stat_id", "params", "values")
+
+    def __init__(self, stat_id, params=None, values=()):
+        self.stat_id = stat_id
+        self.params = {} if params is None else params
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+        return "StatTable(%s)" % fields
 
     @property
     def n_max(self):

@@ -10,7 +10,7 @@ All equalities are exact integer comparisons; there are no tolerances.
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from . import enumeration, kernels, stats
@@ -41,22 +41,13 @@ IDENTITY_RELATIONS = {
 }
 
 
-@dataclass
-class IdentityCase:
-    identity_id: str
-    params: dict
-    lhs: int
-    rhs: int
-    passed: bool
+IdentityCase = namedtuple("IdentityCase", "identity_id params lhs rhs passed")
 
 
-@dataclass
-class VerificationReport:
-    suite_id: str
-    range_desc: dict
-    total: int
-    failures: list
-    wall_time: float
+class VerificationReport(
+    namedtuple("VerificationReport", "suite_id range_desc total failures wall_time")
+):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -68,21 +59,21 @@ class VerificationReport:
         return self.failures[0] if self.failures else None
 
 
-@dataclass
-class RunConfig:
+class RunConfig(
+    namedtuple(
+        "RunConfig",
+        "n_max k_range ell_range all_residues enum_cap subset_cap threads",
+        # threads is accepted and validated; suites run serially
+        defaults=(60, (1, 4), (1, 3), True, 30, 12, 1),
+    )
+):
     """Ranges and caps for a full verification run.
 
     Series-backed sweeps go up to n_max; enumeration-backed sweeps are
     capped separately by enum_cap so the brute-force side stays fast.
     """
 
-    n_max: int = 60
-    k_range: tuple = (1, 4)
-    ell_range: tuple = (1, 3)
-    all_residues: bool = True
-    enum_cap: int = 30
-    subset_cap: int = 12
-    threads: int = 1  # accepted and validated; suites run serially
+    __slots__ = ()
 
     def validate(self):
         if self.n_max < 0:

@@ -21,11 +21,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(probe):
+def run_fresh(probe, *flags):
     """Run the Python source probe in a new interpreter on this checkout."""
     src = Path(partitionlab.__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *flags, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -36,6 +36,27 @@ def test_import_does_not_load_numpy():
     # numpy is no dependency: a fresh process must not load it
     proc = run_fresh("import sys, partitionlab.cli; print('numpy' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
+
+
+# dataclasses alone pulls inspect, ast, dis and tokenize into a process
+SLOW_START_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_import_loads_only_argparse_and_json():
+    # -S: no site module, whose .pth files may load typing themselves
+    proc = run_fresh(
+        "import sys, argparse, json\n"
+        "before = set(sys.modules)\n"
+        "import partitionlab.cli\n"
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps([sorted(sys.modules), sorted(added)]))\n",
+        "-S",
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, added = json.loads(proc.stdout)
+    assert [m for m in SLOW_START_MODULES if m in loaded] == []
+    # beyond argparse and json the package adds only itself and built-ins
+    assert set(added) <= {"partitionlab", "math", "time"}
 
 
 def test_csub_runs_where_numpy_cannot_be_imported():

@@ -244,6 +244,15 @@ def test_overpartitions_p_of_6_mod_3():
     }
 
 
+def test_overpartition_marked_defaults_to_no_color():
+    obj = OverpartitionMarked((3, 3), 3)
+    assert obj.colored is None
+    assert obj == OverpartitionMarked(base=(3, 3), overlined=3, colored=None)
+    colored = OverpartitionMarked((3, 3), 3, 3)
+    assert obj != colored
+    assert len({obj, OverpartitionMarked((3, 3), 3), colored}) == 2
+
+
 def test_overpartitions_a_of_6_mod_3():
     objs = list(overpartitions_a(6, 3))
     assert len(objs) == 5

@@ -154,9 +154,21 @@ def test_product_spec_validation():
     with pytest.raises(ValueError):
         ProductSpec(2, 1, 1)
     with pytest.raises(ValueError):
+        ProductSpec(0, 1, 1)
+    with pytest.raises(ValueError):
         ProductSpec(1, 0, 1)
     with pytest.raises(ValueError):
         ProductSpec(1, 1, 0)
+
+
+def test_product_spec_is_hashable_and_immutable():
+    spec = ProductSpec(sign=-1, offset=1, step=2)
+    assert spec == ProductSpec(-1, 1, 2)
+    assert {spec: "odd"}[ProductSpec(-1, 1, 2)] == "odd"
+    assert repr(spec) == "ProductSpec(sign=-1, offset=1, step=2)"
+    with pytest.raises(AttributeError):
+        spec.sign = 1
+    assert spec.sign == -1
 
 
 def test_partition_gf_matches_recurrence_oracle():

@@ -4,7 +4,8 @@ that selects between copies.  It keeps no module-global mutable state:
 no `global` statement rebinds a module name, nothing imports
 `threading` to guard such state, and no `functools.cache` or
 `functools.lru_cache` memo keeps results from one call (or run) to the
-next."""
+next.  Nothing imports `dataclasses` or `typing`, which would load
+`inspect` and its kin into every process at start-up."""
 
 import ast
 from pathlib import Path
@@ -49,18 +50,28 @@ def package_trees():
             yield path, ast.parse(source, filename=str(path))
 
 
+def imported_modules(node):
+    """The top-level names of the modules an import node imports."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {(node.module or "").split(".")[0]}
+    return set()
+
+
 def test_no_global_statement_or_threading_import():
     for path, tree in package_trees():
         for node in ast.walk(tree):
             where = (path.name, getattr(node, "lineno", None))
             assert not isinstance(node, ast.Global), where
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            assert all(m.split(".")[0] != "threading" for m in modules), where
+            assert "threading" not in imported_modules(node), where
+
+
+def test_no_dataclasses_or_typing_import():
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            where = (path.name, getattr(node, "lineno", None))
+            assert not {"dataclasses", "typing"} & imported_modules(node), where
 
 
 MEMOS = ("cache", "lru_cache")

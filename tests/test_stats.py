@@ -48,6 +48,28 @@ def test_stat_table_overflow_raises():
         t[3]
 
 
+def test_stat_tables_share_no_default_params():
+    one, two = StatTable("x"), StatTable("x")
+    assert one == two
+    assert one.params is not two.params
+    one.params["k"] = 1
+    assert two.params == {}
+    assert one != two
+    # the default table is empty: n_max is -1
+    assert two[-1] == 0
+    with pytest.raises(IndexError):
+        two[0]
+
+
+def test_stat_table_equality_and_repr():
+    t = StatTable("b", {"k": 2}, (0, 1, 2))
+    assert t == StatTable(stat_id="b", params={"k": 2}, values=(0, 1, 2))
+    assert t != StatTable("b", {"k": 3}, (0, 1, 2))
+    assert t != StatTable("b", {"k": 2}, (0, 1))
+    assert t != ("b", {"k": 2}, (0, 1, 2))
+    assert repr(t) == "StatTable(stat_id='b', params={'k': 2}, values=(0, 1, 2))"
+
+
 # ---------------------------------------------------------------------------
 # p and Q
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from partitionlab import enumeration, stats, verify
+from partitionlab import cli, enumeration, stats, verify
 from partitionlab.series import TruncatedSeries, geometric_kernel, partition_gf
 from partitionlab.verify import (
     RunConfig,
@@ -546,6 +546,50 @@ def test_config_validation():
         RunConfig(n_max=2, k_range=(1, 5)).validate()
     with pytest.raises(ValueError):
         RunConfig(threads=0).validate()
+
+
+def test_run_config_defaults_are_the_verify_cli_defaults():
+    config = RunConfig()
+    assert config == cli._build_config(cli.build_parser().parse_args(["verify", "all"]))
+    assert (
+        config.n_max,
+        config.k_range,
+        config.ell_range,
+        config.all_residues,
+        config.enum_cap,
+        config.subset_cap,
+        config.threads,
+    ) == (60, (1, 4), (1, 3), True, 30, 12, 1)
+
+
+def test_report_jsonable_reads_the_report_and_case_fields():
+    case = verify.IdentityCase(
+        identity_id="P1", params={"k": 2, "n": 5}, lhs=3, rhs=4, passed=False
+    )
+    report = verify.VerificationReport(
+        suite_id="overpartitions",
+        range_desc={"n": [1, 5]},
+        total=7,
+        failures=[case],
+        wall_time=0.25,
+    )
+    assert not report.passed
+    assert report.first_failure is case
+    assert verify.report_jsonable(report) == {
+        "suite": "overpartitions",
+        "range": {"n": [1, 5]},
+        "total": 7,
+        "failed": 1,
+        "failures": [
+            {
+                "identity": "P1",
+                "params": {"k": 2, "n": 5},
+                "lhs": 3,
+                "rhs": 4,
+                "passed": False,
+            }
+        ],
+    }
 
 
 def test_report_json_big_integers_become_strings():
