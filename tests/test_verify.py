@@ -1,6 +1,7 @@
 """Verification suites: spot cells, passing grids, fault injection,
 report plumbing."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -194,6 +195,38 @@ def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
     # suites that never touch the b tables stay green
     assert verify_m_routes(2, 30).passed
     assert verify_overpartition_identities(2, 10).passed
+
+
+# sha256 of reports_to_json under corrupt_b_tables, captured before the
+# theta-family generators were merged: it pins which cells fail, their
+# sides and their order, which the all-pass goldens cannot see
+FAILING_CELL_ORDER = [
+    pytest.param(
+        lambda: run_all(
+            RunConfig(n_max=30, enum_cap=12),
+            suites={"trunc", "trunc-corollaries", "gen17", "bad-exponent"},
+        ),
+        "c6e30c440df4d09a59af3b1c8118c91c3d5a3effe8768ec3ef2646254d2ee70e",
+        id="theta-suites",
+    ),
+    pytest.param(
+        lambda: [uncorrected_exponent_report(30, 3)],
+        "81627511c334c94e793966f7b2c86505788eb0c3b32784435f1e94c210097ab4",
+        id="uncorrected-exponent",
+    ),
+    pytest.param(
+        lambda: [verify_gen17(3, 1, 12, indicator_form=True)],
+        "0f25f024fde2c00b5b3478aba4d5eae67a65019b07667acfa8d5f05341a4c240",
+        id="gen17-indicator",
+    ),
+]
+
+
+@pytest.mark.parametrize("reports,digest", FAILING_CELL_ORDER)
+def test_failing_cells_keep_their_order(monkeypatch, reports, digest):
+    corrupt_b_tables(monkeypatch)
+    text = reports_to_json(reports())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("k,ell,i", [(1, 1, 0), (2, 3, 7), (3, 2, 12)])
