@@ -9,9 +9,7 @@ All equalities are exact integer comparisons; there are no tolerances.
 """
 
 import json
-import time
 from collections import namedtuple
-from math import isqrt
 
 from . import enumeration, kernels, stats
 from .series import TruncatedSeries, pentagonal_number, triangular_number
@@ -45,7 +43,7 @@ IdentityCase = namedtuple("IdentityCase", "identity_id params lhs rhs passed")
 
 
 class VerificationReport(
-    namedtuple("VerificationReport", "suite_id range_desc total failures wall_time")
+    namedtuple("VerificationReport", "suite_id range_desc total failures")
 ):
     __slots__ = ()
 
@@ -116,12 +114,9 @@ def _case(identity_id, params, lhs, rhs):
 
 def _report(suite_id, range_desc, cases):
     """Run the cases (an iterable, usually a generator) into a report."""
-    started = time.perf_counter()
     cases = list(cases)
     failures = [c for c in cases if not c.passed]
-    return VerificationReport(
-        suite_id, range_desc, len(cases), failures, time.perf_counter() - started
-    )
+    return VerificationReport(suite_id, range_desc, len(cases), failures)
 
 
 # ---------------------------------------------------------------------------
@@ -250,43 +245,98 @@ def verify_thmcomb(n_max, k_max, all_residues=True):
 
 
 # ---------------------------------------------------------------------------
-# truncated pentagonal identity
+# truncated-theta families
 
 
-def _pentagonal_terms(ell):
-    # (-1)^j q^(j(3j-1)/2) for j = -(ell-1)..ell.  Built here, not taken
-    # from series.pentagonal_series, because stats.m_ell_table builds the
-    # other side of the identity from that one
-    for j in range(-(ell - 1), ell + 1):
-        yield pentagonal_number(j), -1 if j % 2 else 1
+class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
+    """One family of truncated identities, the shape of every refinement
+    the paper proves: for k >= 1, ell >= 1 and every n,
+
+        (-1)^(ell-1) * (sum_{j in js(ell)} sign(j) b_k(n - exponent(j)) - main(n))
+            = remainder(n),
+
+    the signed sum over every j collapsing to main(n).  main(tables, k,
+    n_max) and remainder(tables, k, ell, n_max) give their values for n =
+    0..n_max, reading the run's tables.  The terms are built here from
+    pentagonal_number and triangular_number, never taken from
+    series.pentagonal_series or series.theta_truncated, because
+    stats.m_ell_table and stats.mp_ell_table build the remainders from
+    those.
+    """
+
+    __slots__ = ()
+
+    def signed_sum(self, tables, k, ell, n_max):
+        terms = ((self.exponent(j), self.sign(j)) for j in self.js(ell))
+        b_values = tables.get("b_k_table", k, n_max).values
+        return TruncatedSeries(b_values).shift_sum(terms).coeffs
+
+    def lhs(self, tables, k, ell, n_max):
+        sign = -1 if ell % 2 == 0 else 1
+        sums = self.signed_sum(tables, k, ell, n_max)
+        return [sign * (s - m) for s, m in zip(sums, self.main(tables, k, n_max))]
+
+    def bilateral_sum(self, tables, k, n_max):
+        # every exponent is at least |j|, so the truncation at ell =
+        # n_max + 1 holds every term of degree <= n_max
+        return self.signed_sum(tables, k, n_max + 1, n_max)
 
 
-def _ell_sign(ell):
-    return -1 if ell % 2 == 0 else 1
+def _alternating(j):
+    return -1 if j % 2 else 1
 
 
-def _truncated_pentagonal_lhs(b_tab, k, ell):
-    # per n: (-1)^(ell-1) * (truncated pentagonal sum of b_k - n/k [k | n])
-    sums = TruncatedSeries(b_tab.values).shift_sum(_pentagonal_terms(ell)).coeffs
-    sign = _ell_sign(ell)
-    return [sign * (s - stats.divisor_term(n, k)) for n, s in enumerate(sums)]
+def _pentagonal_remainder(tables, k, ell, n_max):
+    # sum_j j M_ell(n - kj): the coefficient of q^n in M_ell * q^k/(1 - q^k)^2
+    m_series = TruncatedSeries(tables.get("m_ell_table", ell, n_max).values)
+    return m_series.shifted(k).div_binomial(-1, k).div_binomial(-1, k).coeffs
+
+
+def _theta_remainder(tables, k, ell, n_max):
+    # sum_j c_k(j) MP_ell(n - j)
+    c_values = tables.get("c_k_table", k, n_max).values
+    mp_values = tables.get("mp_ell_table", ell, n_max).values
+    return kernels.convolve(list(c_values), list(mp_values))
+
+
+PENTAGONAL = ThetaFamily(
+    js=lambda ell: range(-(ell - 1), ell + 1),
+    exponent=pentagonal_number,
+    sign=_alternating,
+    main=lambda tables, k, n_max: [stats.divisor_term(n, k) for n in range(n_max + 1)],
+    remainder=_pentagonal_remainder,
+)
+TRIANGULAR = ThetaFamily(
+    js=lambda ell: range(2 * ell),
+    exponent=triangular_number,
+    sign=stats.triangular_weight_sign,  # (-1)^(j(j+1)/2)
+    main=lambda tables, k, n_max: tables.get("c_k_table", k, n_max).values,
+    remainder=_theta_remainder,
+)
+# the diagnostic main term [k | n] * c_k(n) of verify_gen17(indicator_form=True)
+TRIANGULAR_INDICATOR = TRIANGULAR._replace(
+    main=lambda tables, k, n_max: [
+        c if n % k == 0 else 0
+        for n, c in enumerate(tables.get("c_k_table", k, n_max).values)
+    ]
+)
+# the sign (-1)^j that the paper corrects to (-1)^(j(j+1)/2)
+TRIANGULAR_UNCORRECTED = TRIANGULAR._replace(sign=_alternating)
+
+
+def _infsum_cases(identity_id, family, tables, k, n_max):
+    infsum = family.bilateral_sum(tables, k, n_max)
+    main = family.main(tables, k, n_max)
+    for n in range(n_max + 1):
+        yield _case(identity_id, {"k": k, "n": n}, infsum[n], main[n])
 
 
 def _trunc_cases(tables, config):
     n_max = config.n_max
     for k in config.ks():
-        b_tab = tables.get("b_k_table", k, n_max)
         for ell in config.ells():
-            m_tab = tables.get("m_ell_table", ell, n_max)
-            # sum_j j M_ell(n - kj) is the coefficient of q^n in
-            # M_ell * q^k / (1 - q^k)^2
-            rhs = (
-                TruncatedSeries(m_tab.values)
-                .shifted(k)
-                .div_binomial(-1, k)
-                .div_binomial(-1, k)
-            ).coeffs
-            lhs = _truncated_pentagonal_lhs(b_tab, k, ell)
+            lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
+            rhs = PENTAGONAL.remainder(tables, k, ell, n_max)
             for n in range(n_max + 1):
                 yield _case("Trunc-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n])
 
@@ -300,22 +350,11 @@ def verify_trunc(k, ell, n_max):
 def _trunc_corollary_cases(tables, config):
     n_max = config.n_max
     for k in config.ks():
-        b_tab = tables.get("b_k_table", k, n_max)
         for ell in config.ells():
-            lhs = _truncated_pentagonal_lhs(b_tab, k, ell)
+            lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
             for n in range(n_max + 1):
                 yield _case("Trunc-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0)
-        # the bilateral sum: a pentagonal number <= n_max has
-        # |j| <= isqrt(n_max), so ell = isqrt(n_max) + 1 reaches every one
-        infsum = (
-            TruncatedSeries(b_tab.values)
-            .shift_sum(_pentagonal_terms(isqrt(n_max) + 1))
-            .coeffs
-        )
-        for n in range(n_max + 1):
-            yield _case(
-                "Trunc-infsum", {"k": k, "n": n}, infsum[n], stats.divisor_term(n, k)
-            )
+        yield from _infsum_cases("Trunc-infsum", PENTAGONAL, tables, k, n_max)
 
 
 def verify_trunc_corollaries(k, ell_max, n_max):
@@ -324,65 +363,18 @@ def verify_trunc_corollaries(k, ell_max, n_max):
     return _run_suite("trunc-corollaries", RunConfig(n_max, (k, k), (1, ell_max)))
 
 
-# ---------------------------------------------------------------------------
-# truncated theta identity
-
-
-def _theta_terms(ell, corrected=True):
-    # sign(j) q^(j(j+1)/2) for j = 0..2*ell-1; the sign is (-1)^(j(j+1)/2),
-    # or (-1)^j uncorrected.  Not series.theta_truncated, for the same
-    # reason as above: stats.mp_ell_table builds from that one
-    for j in range(2 * ell):
-        if corrected:
-            sign = stats.triangular_weight_sign(j)
-        else:
-            sign = -1 if j % 2 else 1
-        yield triangular_number(j), sign
-
-
-def _gen17_sub(c_tab, k, n, indicator_form):
-    return 0 if indicator_form and n % k != 0 else c_tab[n]
-
-
-def _truncated_theta_lhs(b_tab, c_tab, k, ell, corrected=True, indicator_form=False):
-    # per n: (-1)^(ell-1) * (truncated theta sum of b_k - c_k(n))
-    sums = TruncatedSeries(b_tab.values).shift_sum(_theta_terms(ell, corrected)).coeffs
-    sign = _ell_sign(ell)
-    return [
-        sign * (s - _gen17_sub(c_tab, k, n, indicator_form))
-        for n, s in enumerate(sums)
-    ]
-
-
-def _gen17_rhs(tables, k, ell, n_max):
-    # rhs[n] = sum_j c_k(j) MP_ell(n - j)
-    c_values = tables.get("c_k_table", k, n_max).values
-    mp_values = tables.get("mp_ell_table", ell, n_max).values
-    return kernels.convolve(list(c_values), list(mp_values))
-
-
-def _gen17_cases(tables, config, indicator_form=False):
+def _gen17_cases(tables, config, family=TRIANGULAR):
     n_max = config.n_max
     for k in config.ks():
-        b_tab = tables.get("b_k_table", k, n_max)
-        c_tab = tables.get("c_k_table", k, n_max)
-        # the full sum: j < 2(n_max + 1) reaches every triangular number <= n_max
-        infsum = TruncatedSeries(b_tab.values).shift_sum(_theta_terms(n_max + 1)).coeffs
+        # the bilateral cells are checked once per ell, after its own cells
+        infsum = list(_infsum_cases("Gen17-infsum", family, tables, k, n_max))
         for ell in config.ells():
-            rhs = _gen17_rhs(tables, k, ell, n_max)
-            lhs = _truncated_theta_lhs(
-                b_tab, c_tab, k, ell, indicator_form=indicator_form
-            )
+            rhs = family.remainder(tables, k, ell, n_max)
+            lhs = family.lhs(tables, k, ell, n_max)
             for n in range(n_max + 1):
                 yield _case("Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n])
                 yield _case("Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0)
-            for n in range(n_max + 1):
-                yield _case(
-                    "Gen17-infsum",
-                    {"k": k, "n": n},
-                    infsum[n],
-                    _gen17_sub(c_tab, k, n, indicator_form),
-                )
+            yield from infsum
 
 
 def verify_gen17(k, ell, n_max, indicator_form=False):
@@ -395,10 +387,11 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
     a diagnostic, not as the default identity.
     """
     config = RunConfig(n_max, (k, k), (ell, ell))
+    family = TRIANGULAR_INDICATOR if indicator_form else TRIANGULAR
     return _report(
         "gen17",
         dict(_k_ell_range(config), indicator_form=indicator_form),
-        _gen17_cases(TableStore(), config, indicator_form),
+        _gen17_cases(TableStore(), config, family),
     )
 
 
@@ -409,14 +402,9 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
 def _bad_exponent_cells(tables, n_max, ell_max):
     """Cells of the k=2 theta identity evaluated with the wrong sign
     (-1)^j instead of (-1)^(j(j+1)/2), yielding (n, ell, lhs, rhs)."""
-    b_tab = tables.get("b_k_table", 2, n_max)
-    c_tab = tables.get("c_k_table", 2, n_max)
-    ells = range(1, ell_max + 1)
-    rhs = {ell: _gen17_rhs(tables, 2, ell, n_max) for ell in ells}
-    lhs = {
-        ell: _truncated_theta_lhs(b_tab, c_tab, 2, ell, corrected=False)
-        for ell in ells
-    }
+    family, ells = TRIANGULAR_UNCORRECTED, range(1, ell_max + 1)
+    rhs = {ell: family.remainder(tables, 2, ell, n_max) for ell in ells}
+    lhs = {ell: family.lhs(tables, 2, ell, n_max) for ell in ells}
     for n in range(1, n_max + 1):
         for ell in ells:
             yield n, ell, lhs[ell][n], rhs[ell][n]

@@ -98,3 +98,19 @@ def test_no_functools_memo():
                 and node.value.id in aliases
             ):
                 assert node.attr not in MEMOS, where
+
+
+# the series builders that stats builds M_ell and MP_ell (and so the
+# remainders of the truncated identities) from
+REMAINDER_SIDE_BUILDERS = ("pentagonal_series", "theta_truncated", "gaussian_binomial")
+
+
+def test_verify_builds_its_sums_apart_from_the_remainder_side():
+    (tree,) = [tree for path, tree in package_trees() if path.name == "verify.py"]
+    for node in ast.walk(tree):
+        where = getattr(node, "lineno", None)
+        if isinstance(node, ast.ImportFrom) and "series" in (node.module or ""):
+            names = {alias.name for alias in node.names}
+            assert not names & set(REMAINDER_SIDE_BUILDERS), where
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in REMAINDER_SIDE_BUILDERS, where

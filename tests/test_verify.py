@@ -115,8 +115,8 @@ def test_trunc_expression_vanishes_beyond_pentagonal_support():
     # truncated sum is the full bilateral one, so the whole signed
     # expression collapses to exactly zero
     for k in (2, 3):
-        b_tab = stats.b_k_table(k, 30)
-        assert verify._truncated_pentagonal_lhs(b_tab, k, 10) == [0] * 31
+        lhs = verify.PENTAGONAL.lhs(verify.TableStore(), k, 10, 30)
+        assert lhs == [0] * 31
     assert verify.verify_trunc(2, 10, 30).passed
 
 
@@ -245,6 +245,29 @@ def test_corrupted_m_entry_fails_trunc_from_i_plus_k(monkeypatch, k, ell, i):
     report = verify_trunc(k, ell, 30)
     assert report.first_failure.params == {"k": k, "ell": ell, "n": i + k}
     assert [c.params["n"] for c in report.failures] == list(range(i + k, 31, k))
+
+
+@pytest.mark.parametrize("k,ell,i", [(1, 1, 3), (2, 2, 10), (3, 1, 4), (3, 3, 21)])
+def test_corrupted_mp_entry_fails_gen17_from_i_plus_k(monkeypatch, k, ell, i):
+    # the right side sum_j c_k(j) MP_ell(n - j) reads MP_ell(i) exactly at
+    # n = i + j with c_k(j) != 0, the first such j being k; the left side
+    # and the bilateral sum read no MP_ell, so only Gen17-eq fails
+    real = stats.mp_ell_table
+
+    def corrupted(ell_, n_max, **kwargs):
+        table = real(ell_, n_max, **kwargs)
+        values = list(table.values)
+        values[i] += 1
+        return stats.StatTable(table.stat_id, table.params, tuple(values))
+
+    monkeypatch.setattr(stats, "mp_ell_table", corrupted)
+    report = verify_gen17(k, ell, 30)
+    c_k = stats.c_k_table(k, 30)
+    assert {c.identity_id for c in report.failures} == {"Gen17-eq"}
+    assert report.first_failure.params == {"k": k, "ell": ell, "n": i + k}
+    assert [c.params["n"] for c in report.failures] == [
+        i + j for j in range(31 - i) if c_k[j] != 0
+    ]
 
 
 def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
@@ -604,8 +627,8 @@ def test_report_jsonable_reads_the_report_and_case_fields():
         range_desc={"n": [1, 5]},
         total=7,
         failures=[case],
-        wall_time=0.25,
     )
+    assert "wall_time" not in verify.VerificationReport._fields
     assert not report.passed
     assert report.first_failure is case
     assert verify.report_jsonable(report) == {
