@@ -215,6 +215,13 @@ def test_pentagonal_series_equals_euler_product():
         assert pentagonal_series(order) == euler_product(order)
 
 
+@pytest.mark.parametrize("order", range(13))
+def test_pentagonal_series_default_at_edge_orders(order):
+    # the default sum reaches every pentagonal exponent up to the order,
+    # down to order 0, where only the constant term is left
+    assert pentagonal_series(order).coeffs == pentagonal_sign_expansion(order)
+
+
 # ---------------------------------------------------------------------------
 # geometric kernel
 
