@@ -24,13 +24,9 @@ from .enumeration import (
     q_distinct,
 )
 from .series import (
-    INFINITE,
-    ProductSpec,
     TruncatedSeries,
     distinct_parts_gf,
     euler_product,
-    gaussian_binomial,
-    geometric_kernel,
     partition_gf,
     pentagonal_number,
     pentagonal_series,
@@ -75,10 +71,8 @@ BACKEND = "pure-python"
 
 __all__ = [
     "BACKEND",
-    "INFINITE",
     "IdentityCase",
     "OverpartitionMarked",
-    "ProductSpec",
     "RunConfig",
     "StatTable",
     "TruncatedSeries",
@@ -96,8 +90,6 @@ __all__ = [
     "divisor_term",
     "euler_product",
     "find_bad_exponent_counterexample",
-    "gaussian_binomial",
-    "geometric_kernel",
     "m_ell",
     "m_ell_table",
     "m_ell_table_pdiff",

@@ -6,36 +6,12 @@ anywhere in this module.  Operations require equal truncation orders --
 mixing orders silently would lose precision, so it raises instead.
 
 The module also provides constructors for the q-objects the rest of the
-package is built from: Pochhammer-style products (1 +- q^a)(1 +- q^(a+d))...,
-the pentagonal-number series, the truncated triangular-number theta,
-Gaussian binomial polynomials and the weighted geometric kernel
-sum_m m q^(k m).
+package is built from: the infinite products
+prod_{j>=0} (1 +- q^(a + j*d)), the pentagonal-number series and the
+truncated triangular-number theta.
 """
 
-from collections import namedtuple
-
 from . import kernels
-
-INFINITE = None  # factor count for unbounded Pochhammer products
-
-
-class ProductSpec(namedtuple("ProductSpec", "sign offset step")):
-    """One geometric family of product factors (1 + sign*q^(offset + j*step)).
-
-    sign=-1, offset=1, step=1 gives the Euler product (q;q)_inf;
-    sign=+1 gives the corresponding (-q^offset; q^step)_inf factors.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, sign, offset, step):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if offset < 1:
-            raise ValueError("offset must be >= 1")
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        return super().__new__(cls, sign, offset, step)
 
 
 class TruncatedSeries:
@@ -196,37 +172,29 @@ def _div_binomial_inplace(c, sign, exponent):
         c[i] -= sign * c[i - exponent]
 
 
-def product(specs, order):
-    """Truncated product over a list of (ProductSpec, count) pairs.
+def product(sign, offset, step, order):
+    """prod_{j>=0} (1 + sign*q^(offset + j*step)), truncated.
 
-    count is the number of factors taken from the family (j = 0..count-1)
-    or INFINITE, in which case exactly the factors with exponent <= order
-    are multiplied (all later ones are 1 modulo q^(order+1)).  An empty
-    list gives the multiplicative identity.
+    Exactly the factors with exponent <= order are multiplied; every later
+    one is 1 modulo q^(order+1).  sign=-1, offset=1, step=1 gives the
+    Euler product (q;q)_inf.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if offset < 1:
+        raise ValueError("offset must be >= 1")
+    if step < 1:
+        raise ValueError("step must be >= 1")
     c = _zeros(order)
     c[0] = 1
-    for spec, count in specs:
-        if not isinstance(spec, ProductSpec):
-            raise TypeError("expected a ProductSpec")
-        if count is INFINITE:
-            e = spec.offset
-            while e <= order:
-                _mul_binomial_inplace(c, spec.sign, e)
-                e += spec.step
-        else:
-            if count < 0:
-                raise ValueError("factor count must be >= 0")
-            for j in range(count):
-                e = spec.offset + j * spec.step
-                if e <= order:
-                    _mul_binomial_inplace(c, spec.sign, e)
+    for e in range(offset, order + 1, step):
+        _mul_binomial_inplace(c, sign, e)
     return TruncatedSeries(c)
 
 
 def euler_product(order):
     """(q;q)_inf = prod_{j>=1} (1 - q^j), truncated."""
-    return product([(ProductSpec(-1, 1, 1), INFINITE)], order)
+    return product(-1, 1, 1, order)
 
 
 def partition_gf(order):
@@ -236,7 +204,7 @@ def partition_gf(order):
 
 def distinct_parts_gf(order):
     """prod_{j>=1} (1 + q^j); coefficient of q^n counts distinct-part partitions."""
-    return product([(ProductSpec(1, 1, 1), INFINITE)], order)
+    return product(1, 1, 1, order)
 
 
 def pentagonal_number(j):
@@ -245,68 +213,22 @@ def pentagonal_number(j):
 
 
 def pentagonal_series(order, ell=None):
-    """sum_j (-1)^j q^(j(3j-1)/2) over j = -(ell-1)..ell, or all of Z.
+    """sum_j (-1)^j q^(j(3j-1)/2) over j = -(ell-1)..ell.
 
-    With ell=None the full bilateral sum is taken (every j with a
-    pentagonal exponent <= order), which by Euler's pentagonal number
-    theorem equals euler_product(order).
+    ell=None means ell = order + 1: every exponent is at least |j|, so
+    that truncation holds every term of degree <= order, and by Euler's
+    pentagonal number theorem the sum equals euler_product(order).
     """
     c = _zeros(order)
     if ell is None:
-        c[0] = 1
-        j = 1
-        while True:
-            g_pos = pentagonal_number(j)
-            g_neg = pentagonal_number(-j)
-            if g_pos > order and g_neg > order:
-                break
-            sign = -1 if j % 2 else 1
-            if g_pos <= order:
-                c[g_pos] += sign
-            if g_neg <= order:
-                c[g_neg] += sign
-            j += 1
-    else:
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        for j in range(-(ell - 1), ell + 1):
-            g = pentagonal_number(j)
-            if g <= order:
-                c[g] += -1 if j % 2 else 1
+        ell = order + 1
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    for j in range(-(ell - 1), ell + 1):
+        g = pentagonal_number(j)
+        if g <= order:
+            c[g] += -1 if j % 2 else 1
     return TruncatedSeries(c)
-
-
-def geometric_kernel(k, order):
-    """sum_{m>=0} m*q^(k*m): coefficient of q^e is e/k when k | e, else 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return TruncatedSeries(
-        [e // k if e % k == 0 else 0 for e in range(order + 1)]
-    )
-
-
-def gaussian_binomial(n, ell, order):
-    """Gaussian binomial [n, ell]_q as a truncated series.
-
-    Computed by the q-Pascal recurrence
-    [n, ell] = [n-1, ell-1] + q^ell * [n-1, ell]; zero when ell < 0 or
-    ell > n.  The underlying polynomial has degree ell*(n-ell) and may
-    be cut off by the truncation order.
-    """
-    if ell < 0 or ell > n:
-        return TruncatedSeries.zero(order)
-    # rows[j] holds [m, j] for the current m, as a plain list
-    rows = [_zeros(order) for _ in range(ell + 1)]
-    rows[0][0] = 1
-    for m in range(1, n + 1):
-        for j in range(min(ell, m), 0, -1):
-            prev = rows[j - 1]
-            cur = rows[j]
-            new = prev[:]
-            for i in range(j, order + 1):
-                new[i] += cur[i - j]
-            rows[j] = new
-    return TruncatedSeries(rows[ell])
 
 
 def triangular_number(j):

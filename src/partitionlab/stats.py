@@ -6,8 +6,6 @@ partitions; the `enumeration` module is the independent cross-check).
 """
 
 from .series import (
-    INFINITE,
-    ProductSpec,
     TruncatedSeries,
     distinct_parts_gf,
     partition_gf,
@@ -96,13 +94,13 @@ def _partition_series(n_max, p_series):
 
 def q_squared_gf(n_max):
     """Q(q^2) = (-q^2;q^2)_inf, the base series of c_k."""
-    return product([(ProductSpec(1, 2, 2), INFINITE)], n_max)
+    return product(1, 2, 2, n_max)
 
 
 def mp_base_gf(n_max):
     """(-q;q^2)_inf/(q^2;q^2)_inf, the base series of MP_ell: the product of
     the odd factors, then one O(n) division per even factor."""
-    base = product([(ProductSpec(1, 1, 2), INFINITE)], n_max)
+    base = product(1, 1, 2, n_max)
     for e in range(2, n_max + 1, 2):
         base = base.div_binomial(-1, e)
     return base

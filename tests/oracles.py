@@ -1,0 +1,46 @@
+"""Series that only the tests build: dense forms of the products the
+package computes by shortcuts, kept here as oracles of those shortcuts.
+
+- `geometric_kernel(k, order)` is sum_m m*q^(k*m); times a base series it
+  is the dense product that `stats.b_k_table` and
+  `verify._colored_object_series` replace by a shift and two divisions.
+- `gaussian_binomial(n, ell, order)` is [n, ell]_q from the q-Pascal
+  recurrence, the oracle of the stepped Gaussian route of M_ell.
+"""
+
+from partitionlab.series import TruncatedSeries
+
+
+def geometric_kernel(k, order):
+    """sum_{m>=0} m*q^(k*m): coefficient of q^e is e/k when k | e, else 0."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return TruncatedSeries(
+        [e // k if e % k == 0 else 0 for e in range(order + 1)]
+    )
+
+
+def gaussian_binomial(n, ell, order):
+    """Gaussian binomial [n, ell]_q as a truncated series.
+
+    Computed by the q-Pascal recurrence
+    [n, ell] = [n-1, ell-1] + q^ell * [n-1, ell]; zero when ell < 0 or
+    ell > n.  The underlying polynomial has degree ell*(n-ell) and may
+    be cut off by the truncation order.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if ell < 0 or ell > n:
+        return TruncatedSeries.zero(order)
+    # rows[j] holds [m, j] for the current m, as a plain list
+    rows = [[0] * (order + 1) for _ in range(ell + 1)]
+    rows[0][0] = 1
+    for m in range(1, n + 1):
+        for j in range(min(ell, m), 0, -1):
+            prev = rows[j - 1]
+            cur = rows[j]
+            new = prev[:]
+            for i in range(j, order + 1):
+                new[i] += cur[i - j]
+            rows[j] = new
+    return TruncatedSeries(rows[ell])

@@ -4,14 +4,11 @@ import random
 
 import pytest
 
+from oracles import gaussian_binomial, geometric_kernel
 from partitionlab.series import (
-    INFINITE,
-    ProductSpec,
     TruncatedSeries,
     distinct_parts_gf,
     euler_product,
-    gaussian_binomial,
-    geometric_kernel,
     partition_gf,
     pentagonal_number,
     pentagonal_series,
@@ -102,7 +99,7 @@ def test_shifted():
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer-style products
+# infinite products
 
 
 def pentagonal_sign_expansion(order):
@@ -140,35 +137,14 @@ def test_distinct_parts_gf_counts_distinct_partitions():
     assert distinct_parts_gf(5).coeffs == (1, 1, 1, 2, 2, 3)
 
 
-def test_empty_product_is_unit():
-    assert product([], 4) == TruncatedSeries.one(4)
-
-
-def test_finite_product_factor_count():
-    # (q;q)_2 = (1-q)(1-q^2) = 1 - q - q^2 + q^3
-    spec = ProductSpec(-1, 1, 1)
-    assert product([(spec, 2)], 5).coeffs == (1, -1, -1, 1, 0, 0)
-
-
 def test_product_spec_validation():
-    with pytest.raises(ValueError):
-        ProductSpec(2, 1, 1)
-    with pytest.raises(ValueError):
-        ProductSpec(0, 1, 1)
-    with pytest.raises(ValueError):
-        ProductSpec(1, 0, 1)
-    with pytest.raises(ValueError):
-        ProductSpec(1, 1, 0)
-
-
-def test_product_spec_is_hashable_and_immutable():
-    spec = ProductSpec(sign=-1, offset=1, step=2)
-    assert spec == ProductSpec(-1, 1, 2)
-    assert {spec: "odd"}[ProductSpec(-1, 1, 2)] == "odd"
-    assert repr(spec) == "ProductSpec(sign=-1, offset=1, step=2)"
-    with pytest.raises(AttributeError):
-        spec.sign = 1
-    assert spec.sign == -1
+    # the factors (1 + sign*q^(offset + j*step)) need a unit sign, a
+    # positive first exponent and a positive step
+    for sign, offset, step in ((2, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            product(sign, offset, step, 5)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        product(1, 1, 1, -1)
 
 
 def test_partition_gf_matches_recurrence_oracle():
@@ -316,7 +292,5 @@ def test_theta_full_sum_equals_its_product_form():
     # alternating triangular series, which factors as (q^2;q^2)/(−q;q^2)
     order = 100
     full = theta_truncated(8, order)  # next exponent T_16 = 136 > 100
-    quotient = product([(ProductSpec(-1, 2, 2), INFINITE)], order) * product(
-        [(ProductSpec(1, 1, 2), INFINITE)], order
-    ).invert()
+    quotient = product(-1, 2, 2, order) * product(1, 1, 2, order).invert()
     assert full == quotient

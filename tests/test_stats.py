@@ -5,13 +5,10 @@ from functools import partial
 
 import pytest
 
+from oracles import gaussian_binomial, geometric_kernel
 from partitionlab import enumeration, stats
 from partitionlab.series import (
-    INFINITE,
-    ProductSpec,
     TruncatedSeries,
-    gaussian_binomial,
-    geometric_kernel,
     partition_gf,
     pentagonal_series,
     product,
@@ -349,14 +346,33 @@ def test_short_factor_builders_match_their_convolutions(n_max):
     for k in range(1, 7):
         oracle = (geometric_kernel(k, n_max) * gf).coeffs
         assert b_k_table(k, n_max).values == oracle, k
-    odd = product([(ProductSpec(1, 1, 2), INFINITE)], n_max)
-    even = product([(ProductSpec(-1, 2, 2), INFINITE)], n_max)
+    odd = product(1, 1, 2, n_max)
+    even = product(-1, 2, 2, n_max)
     mp_base = odd * even.invert()
     for ell in range(1, 6):
         pentagonal = pentagonal_series(n_max, ell) * gf
         assert stats._m_ell_from_pentagonal(ell, gf) == signed_count(pentagonal, ell)
         theta = theta_truncated(ell, n_max) * mp_base
         assert mp_ell_table(ell, n_max).values == signed_count(theta, ell), ell
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 9, 14, 20, 35, 80])
+def test_gaussian_route_matches_its_dense_sum(n_max):
+    # sum_{m >= ell} q^(C(ell,2) + (ell+1)m) [m-1, ell-1]_q / (q;q)_m with
+    # every term a dense product: the q-Pascal binomial times the inverse
+    # of (q;q)_m, built one factor (1 - q^j) at a time
+    for ell in range(1, 6):
+        lead = ell * (ell - 1) // 2
+        total = TruncatedSeries.zero(n_max)
+        m = ell
+        while lead + (ell + 1) * m <= n_max:
+            poch = TruncatedSeries.one(n_max)
+            for j in range(1, m + 1):
+                poch = poch.mul_binomial(-1, j)
+            term = gaussian_binomial(m - 1, ell - 1, n_max) * poch.invert()
+            total = total + term.shifted(lead + (ell + 1) * m)
+            m += 1
+        assert stats._m_ell_from_gaussian(ell, n_max) == total.coeffs, ell
 
 
 def test_a_given_partition_series_is_the_one_read():

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
+from oracles import geometric_kernel
 from partitionlab import cli, enumeration, stats, verify
-from partitionlab.series import TruncatedSeries, geometric_kernel, partition_gf
+from partitionlab.series import TruncatedSeries, partition_gf
 from partitionlab.verify import (
     RunConfig,
     bad_exponent_witness_report,
