@@ -102,7 +102,7 @@ def test_no_functools_memo():
 
 # the series builders that stats builds M_ell and MP_ell (and so the
 # remainders of the truncated identities) from
-REMAINDER_SIDE_BUILDERS = ("pentagonal_series", "theta_truncated")
+REMAINDER_SIDE_BUILDERS = ("pentagonal_series", "theta_truncated", "gaussian_binomial")
 
 
 def test_verify_builds_its_sums_apart_from_the_remainder_side():
