@@ -26,6 +26,18 @@ EXIT_INTERNAL = 4
 
 VERIFY_SUITES = ("all",) + verify.SUITE_ORDER
 
+# statistic id -> (its stats table builder, the parameters that builder
+# takes before n_max): what compute and export can build
+TABLES = {
+    "a": ("a_kp_table", ("k", "p")),
+    "b": ("b_k_table", ("k",)),
+    "c": ("c_k_table", ("k",)),
+    "m": ("m_ell_table", ("ell",)),
+    "mp": ("mp_ell_table", ("ell",)),
+    "q": ("q_table", ()),
+    "p": ("p_table", ()),
+}
+
 
 class UsageError(Exception):
     pass
@@ -49,39 +61,28 @@ def _require(condition, message):
 
 
 def _compute_table(args):
-    stat = args.stat
     n_max = args.n_max
     _require(n_max >= 0, "--n-max must be >= 0")
-    if stat in ("a", "b", "c"):
-        _require(args.k is not None, "stat %r requires --k" % stat)
-        _require(args.k >= 1, "--k must be >= 1")
-    if stat in ("m", "mp"):
-        _require(args.ell is not None, "stat %r requires --ell" % stat)
-        _require(args.ell >= 1, "--ell must be >= 1")
-    if stat == "a":
-        p = args.p if args.p is not None else 0
-        _require(0 <= p < args.k, "--p must satisfy 0 <= p < k")
-        return stats.a_kp_table(args.k, p, n_max)
-    if stat == "b":
-        return stats.b_k_table(args.k, n_max)
-    if stat == "c":
-        return stats.c_k_table(args.k, n_max)
-    if stat == "m":
-        return stats.m_ell_table(args.ell, n_max)
-    if stat == "mp":
-        return stats.mp_ell_table(args.ell, n_max)
-    if stat == "q":
-        return stats.q_table(n_max)
-    if stat == "p":
-        return stats.p_table(n_max)
-    if stat == "csub":
+    if args.stat == "csub":
         _require(
             n_max <= SUBSET_SWEEP_CAP,
             "--n-max must be <= %d for the subset count" % SUBSET_SWEEP_CAP,
         )
         values = tuple(c_subsets(n) for n in range(n_max + 1))
         return stats.StatTable("csub", {}, values)
-    raise UsageError("unknown stat %r" % stat)
+    name, params = TABLES[args.stat]
+    head = []
+    for param in params:
+        value = getattr(args, param)
+        if param == "p":
+            value = 0 if value is None else value
+            _require(0 <= value < head[0], "--p must satisfy 0 <= p < k")
+        else:
+            _require(value is not None, "stat %r requires --%s" % (args.stat, param))
+            _require(value >= 1, "--%s must be >= 1" % param)
+        head.append(value)
+    # one table shares no base series, so its builder runs alone
+    return getattr(stats, name)(*head, n_max)
 
 
 def render_table_csv(table):
@@ -218,36 +219,28 @@ def export_document(selectors, k_range, ell_range, n_max, all_residues=True):
     tables.  A non-empty k_range must start at k >= 1 whenever 'a', 'b'
     or 'c' is selected.
     """
-    if {"a", "b", "c"} & set(selectors) and k_range[0] <= k_range[1]:
-        _require(k_range[0] >= 1, "k must be >= 1")
-    # one store for the whole document: the tables share one partition series
-    tables = verify.TableStore()
+    for stat in selectors:
+        _require(stat in TABLES, "unknown stat %r in --stats" % stat)
     ks = range(k_range[0], k_range[1] + 1)
-    ells = range(ell_range[0], ell_range[1] + 1)
+    if ks and any("k" in TABLES[stat][1] for stat in selectors):
+        _require(ks[0] >= 1, "k must be >= 1")
+    # the values of each parameter, given the values before it
+    choices = {
+        "k": lambda head: ks,
+        "p": lambda head: range(head[0] if all_residues else 1),
+        "ell": lambda head: range(ell_range[0], ell_range[1] + 1),
+    }
+    # one store for the whole document: the tables share their base series
+    tables = stats.TableStore()
     doc = {}
     for stat in selectors:
-        if stat == "a":
-            for k in ks:
-                for p in range(k if all_residues else 1):
-                    doc["a/k=%d/p=%d" % (k, p)] = tables.get("a_kp_table", k, p, n_max)
-        elif stat == "b":
-            for k in ks:
-                doc["b/k=%d" % k] = tables.get("b_k_table", k, n_max)
-        elif stat == "c":
-            for k in ks:
-                doc["c/k=%d" % k] = tables.get("c_k_table", k, n_max)
-        elif stat == "m":
-            for ell in ells:
-                doc["m/ell=%d" % ell] = tables.get("m_ell_table", ell, n_max)
-        elif stat == "mp":
-            for ell in ells:
-                doc["mp/ell=%d" % ell] = tables.get("mp_ell_table", ell, n_max)
-        elif stat == "q":
-            doc["q"] = tables.get("q_table", n_max)
-        elif stat == "p":
-            doc["p"] = tables.get("p_table", n_max)
-        else:
-            raise UsageError("unknown stat %r in --stats" % stat)
+        name, params = TABLES[stat]
+        heads = [()]
+        for param in params:
+            heads = [head + (v,) for head in heads for v in choices[param](head)]
+        for head in heads:
+            key = "/".join([stat] + ["%s=%d" % kv for kv in zip(params, head)])
+            doc[key] = tables.get(name, *head, n_max)
     return doc
 
 
@@ -275,9 +268,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="emit one statistic table")
-    p_compute.add_argument(
-        "stat", choices=("a", "b", "c", "m", "mp", "q", "p", "csub")
-    )
+    p_compute.add_argument("stat", choices=(*TABLES, "csub"))
     p_compute.add_argument("--k", type=int)
     p_compute.add_argument("--p", type=int)
     p_compute.add_argument("--ell", type=int)
@@ -307,7 +298,7 @@ def build_parser():
 
     p_export = sub.add_parser("export", help="bulk-dump statistic tables")
     p_export.add_argument(
-        "--stats", default="", help="comma-separated subset of a,b,c,m,mp,q,p"
+        "--stats", default="", help="comma-separated subset of " + ",".join(TABLES)
     )
     p_export.add_argument("--k", default="1..3")
     p_export.add_argument("--ell", default="1..3")

@@ -1,8 +1,18 @@
 """Series-backed evaluation of every partition statistic.
 
-Each function returns a StatTable whose entry n is the statistic at n,
-computed exactly from truncated series arithmetic (never by enumerating
-partitions; the `enumeration` module is the independent cross-check).
+Each table builder returns a StatTable whose entry n is the statistic at
+n, computed exactly from truncated series arithmetic (never by
+enumerating partitions; the `enumeration` module is the independent
+cross-check).
+
+Every table is a few O(n) steps on one base series: the partition series
+1/(q;q)_inf, Q(q^2), the MP base (-q;q^2)_inf/(q^2;q^2)_inf or the
+distinct-parts series (BASE_SERIES).  A builder called alone builds its
+base series itself.  A caller that builds many tables, such as one
+`verify` run or one `export` document, gives each builder the same
+TableStore through the keyword ``tables``; the store builds each table
+and each base series once, and serves every smaller order of a base
+series as its exact prefix.
 """
 
 from .series import (
@@ -16,21 +26,11 @@ from .series import (
     triangular_number,
 )
 
-# table builder -> (keyword, builder of the base series it reads): each
-# table builder that reads a base series, such as the partition series
-# 1/(q;q)_inf, also takes it through that keyword, so that a caller
-# building many tables of one order (verify.TableStore) builds it once
-_P_SERIES = ("p_series", "partition_gf")
-BASE_SERIES = {
-    "p_table": _P_SERIES,
-    "a_kp_table": _P_SERIES,
-    "a_k_table": _P_SERIES,
-    "b_k_table": _P_SERIES,
-    "m_ell_table": _P_SERIES,
-    "m_ell_table_pdiff": _P_SERIES,
-    "c_k_table": ("q2_series", "q_squared_gf"),
-    "mp_ell_table": ("mp_base", "mp_base_gf"),
-}
+# the names of the base series builders that the table builders read;
+# TableStore serves a smaller order of each as a prefix
+BASE_SERIES = frozenset(
+    ("partition_gf", "q_squared_gf", "mp_base_gf", "distinct_parts_gf")
+)
 
 
 class StatTable:
@@ -75,21 +75,42 @@ class StatTable:
         return len(self.values)
 
 
-def _base_series(given, keyword, build, n_max):
-    """given, the series a table builder was passed as keyword, which must
-    have order n_max, or when it is None the series build(n_max)."""
-    if given is None:
-        return build(n_max)
-    if given.order != n_max:
-        raise ValueError(
-            "%s has order %d, the table n_max=%d" % (keyword, given.order, n_max)
-        )
-    return given
+class TableStore:
+    """The tables and base series of one run, each built once.
 
+    ``get("b_k_table", k, n_max)`` returns ``b_k_table(k, n_max,
+    tables=store)`` and calls it only on the first request for those
+    arguments, so every reader of the table gets the same one.  A base
+    series is served as ``get("partition_gf", order)`` and so on: it is
+    built once, at series_order or at the order asked for if that is
+    larger, and a smaller order is served as its prefix, which is exact.
+    So a store given the largest order its run reads builds each base
+    series once.  Builders are looked up in this module at call time, so
+    a patched or traced replacement is the one that runs.  Each run makes
+    its own store, so nothing outlives the run.
+    """
 
-def _partition_series(n_max, p_series):
-    # partition_gf is looked up here at call time, so a patched one runs
-    return _base_series(p_series, "p_series", partition_gf, n_max)
+    def __init__(self, series_order=0):
+        self._series_order = series_order
+        self._tables = {}
+
+    def get(self, name, *args):
+        key = (name, args)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._build(name, args)
+        return table
+
+    def _build(self, name, args):
+        build = globals()[name]
+        if name not in BASE_SERIES:
+            return build(*args, tables=self)
+        (order,) = args
+        # a negative order is built, so that its builder refuses it
+        if 0 <= order < self._series_order:
+            full = self.get(name, self._series_order)
+            return TruncatedSeries(full.coeffs[: order + 1])
+        return build(order)
 
 
 def q_squared_gf(n_max):
@@ -106,17 +127,23 @@ def mp_base_gf(n_max):
     return base
 
 
-def p_table(n_max, *, p_series=None):
+def p_table(n_max, *, tables=None):
     """p(n): number of partitions of n."""
-    return StatTable("p", {}, _partition_series(n_max, p_series).coeffs)
+    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
+    return StatTable("p", {}, gf.coeffs)
 
 
-def q_table(n_max):
+def q_table(n_max, *, tables=None):
     """Q(n): number of partitions of n into distinct parts."""
-    return StatTable("q", {}, distinct_parts_gf(n_max).coeffs)
+    gf = (
+        distinct_parts_gf(n_max)
+        if tables is None
+        else tables.get("distinct_parts_gf", n_max)
+    )
+    return StatTable("q", {}, gf.coeffs)
 
 
-def b_k_table(k, n_max, *, p_series=None):
+def b_k_table(k, n_max, *, tables=None):
     """b_k(n): total of distinct part values with multiplicity >= k,
     over all partitions of n.
 
@@ -125,12 +152,12 @@ def b_k_table(k, n_max, *, p_series=None):
     if k < 1:
         raise ValueError("k must be >= 1")
     # q^k/(1-q^k)^2 is a shift and two O(n) divisions
-    gf = _partition_series(n_max, p_series)
+    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
     series = gf.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
     return StatTable("b", {"k": k}, series.coeffs)
 
 
-def a_kp_table(k, p, n_max, *, p_series=None):
+def a_kp_table(k, p, n_max, *, tables=None):
     """a_{k,p}(n): total of distinct part values congruent to p mod k,
     over all partitions of n.
 
@@ -142,7 +169,7 @@ def a_kp_table(k, p, n_max, *, p_series=None):
         raise ValueError("need 0 <= p < k")
     # the numerator is two monomials, so it scales two shifted copies of
     # the partition series, and the denominator is two O(n) divisions
-    gf = _partition_series(n_max, p_series)
+    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
     numerator = TruncatedSeries(
         [
             p * x + (k - p) * y
@@ -153,22 +180,24 @@ def a_kp_table(k, p, n_max, *, p_series=None):
     return StatTable("a", {"k": k, "p": p}, series.coeffs)
 
 
-def a_k_table(k, n_max, *, p_series=None):
+def a_k_table(k, n_max, *, tables=None):
     """a_k(n): total of distinct part values divisible by k (p = 0 case)."""
-    return a_kp_table(k, 0, n_max, p_series=p_series)
+    return a_kp_table(k, 0, n_max, tables=tables)
 
 
-def c_k_table(k, n_max, *, q2_series=None):
+def c_k_table(k, n_max, *, tables=None):
     """c_k(n) = sum_{j=1..floor(n/k)} j * Q((n-kj)/2), zero terms whenever
     (n-kj)/2 is not a nonnegative integer; Q(0) = 1 is included.
 
     Generating function: Q(q^2) * q^k/(1-q^k)^2, with Q(q^2) = (-q^2;q^2)_inf
-    (q_squared_gf, or q2_series when given).
+    (q_squared_gf).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     # q^k/(1-q^k)^2 is a shift and two O(n) divisions
-    q_squared = _base_series(q2_series, "q2_series", q_squared_gf, n_max)
+    q_squared = (
+        q_squared_gf(n_max) if tables is None else tables.get("q_squared_gf", n_max)
+    )
     series = q_squared.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
     return StatTable("c", {"k": k}, series.coeffs)
 
@@ -209,7 +238,7 @@ def _m_ell_from_gaussian(ell, n_max):
     return tuple(out)
 
 
-def m_ell_table(ell, n_max, *, p_series=None):
+def m_ell_table(ell, n_max, *, tables=None):
     """M_ell(n): partitions of n in which ell is the least positive
     non-part and parts above ell outnumber parts below ell.
 
@@ -219,7 +248,8 @@ def m_ell_table(ell, n_max, *, p_series=None):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    primary = _m_ell_from_pentagonal(ell, _partition_series(n_max, p_series))
+    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
+    primary = _m_ell_from_pentagonal(ell, gf)
     second = _m_ell_from_gaussian(ell, n_max)
     if primary != second:
         raise ArithmeticError(
@@ -231,13 +261,14 @@ def m_ell_table(ell, n_max, *, p_series=None):
     return StatTable("m", {"ell": ell}, primary)
 
 
-def m_ell_table_pdiff(ell, n_max, *, p_series=None):
+def m_ell_table_pdiff(ell, n_max, *, tables=None):
     """Third evaluation of M_ell via partition-count differences:
     (-1)^(ell-1) sum_{j=0..ell-1} (-1)^j (p(n - j(3j+1)/2) - p(n - (j+1)(3j+2)/2)),
     valid for n >= 1 (the entry at n=0 is 0 by convention)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    p = _partition_series(n_max, p_series).coeffs
+    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
+    p = gf.coeffs
     sign = -1 if ell % 2 == 0 else 1
     out = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -252,10 +283,10 @@ def m_ell_table_pdiff(ell, n_max, *, p_series=None):
     return StatTable("m", {"ell": ell}, tuple(out))
 
 
-def mp_ell_table(ell, n_max, *, mp_base=None):
+def mp_ell_table(ell, n_max, *, tables=None):
     """MP_ell(n) via the truncated triangular theta:
     (-1)^(ell-1) * ( (-q;q^2)_inf/(q^2;q^2)_inf * theta_ell - 1 ), the
-    base series being mp_base_gf, or mp_base when given.
+    base series being mp_base_gf.
 
     The result counts partitions, so every entry must be >= 0 and the
     constant term 0; violations raise.
@@ -263,7 +294,7 @@ def mp_ell_table(ell, n_max, *, mp_base=None):
     if ell < 1:
         raise ValueError("ell must be >= 1")
     # theta_ell has 2*ell terms
-    base = _base_series(mp_base, "mp_base", mp_base_gf, n_max)
+    base = mp_base_gf(n_max) if tables is None else tables.get("mp_base_gf", n_max)
     series = base.mul_sparse(theta_truncated(ell, n_max))
     sign = -1 if ell % 2 == 0 else 1
     coeffs = [sign * c for c in series.coeffs]

@@ -119,64 +119,11 @@ def _report(suite_id, range_desc, cases):
     return VerificationReport(suite_id, range_desc, len(cases), failures)
 
 
-# ---------------------------------------------------------------------------
-# the tables of one run
-
-
-# the builders of the base series that table builders read
-_BASE_SERIES_BUILDERS = frozenset(base for _, base in stats.BASE_SERIES.values())
-
-
-class TableStore:
-    """The statistic tables of one verification run, each built once.
-
-    ``get("b_k_table", k, n_max)`` returns ``stats.b_k_table(k, n_max)``
-    and calls it only on the first request for those arguments; every
-    suite of the run that needs the table reads the same one.  The base
-    series of the tables (``stats.BASE_SERIES``: the partition series,
-    Q(q^2) and the MP base) are served the same way, as
-    ``get("partition_gf", n_max)`` and so on, and every table builder
-    that reads one gets the store's copy through its keyword.  A base
-    series is built once, at series_order or at the order asked for if
-    that is larger; a smaller order is served as its prefix, which is
-    exact, so a store given the largest order its run reads builds each
-    base series once.  The function is looked up on ``stats`` at call
-    time, so a patched or traced replacement is the one that runs.  Each
-    run makes its own store, so no table outlives the run.
-    """
-
-    def __init__(self, series_order=0):
-        self._series_order = series_order
-        self._tables = {}
-
-    def get(self, name, *args):
-        key = (name, args)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._build(name, args)
-            self._tables[key] = table
-        return table
-
-    def _build(self, name, args):
-        build = getattr(stats, name)
-        if name in _BASE_SERIES_BUILDERS:
-            (order,) = args
-            if order < self._series_order:
-                full = self.get(name, self._series_order)
-                return TruncatedSeries(full.coeffs[: order + 1])
-            return build(order)
-        if name in stats.BASE_SERIES:
-            keyword, base = stats.BASE_SERIES[name]
-            # every table builder takes n_max as its last argument
-            return build(*args, **{keyword: self.get(base, args[-1])})
-        return build(*args)
-
-
 def _run_suite(suite_id, config, tables=None):
     """One suite's report at config, reading tables (default: a fresh store)."""
     cases, describe = SUITES[suite_id]
     if tables is None:
-        tables = TableStore()
+        tables = stats.TableStore()
     return _report(suite_id, describe(config), cases(tables, config))
 
 
@@ -391,7 +338,7 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
     return _report(
         "gen17",
         dict(_k_ell_range(config), indicator_form=indicator_form),
-        _gen17_cases(TableStore(), config, family),
+        _gen17_cases(stats.TableStore(), config, family),
     )
 
 
@@ -422,13 +369,13 @@ def find_bad_exponent_counterexample(n_max, ell_max=3):
 
     Cells are scanned by increasing n, then increasing ell.
     """
-    return _bad_exponent_witness(TableStore(), n_max, ell_max)
+    return _bad_exponent_witness(stats.TableStore(), n_max, ell_max)
 
 
 def uncorrected_exponent_report(n_max, ell_max=3):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
-    cells = _bad_exponent_cells(TableStore(), n_max, ell_max)
+    cells = _bad_exponent_cells(stats.TableStore(), n_max, ell_max)
     return _report(
         "bad-exponent",
         {"n_max": n_max, "k": [2, 2], "ell": [1, ell_max], "mode": "raw"},
@@ -478,10 +425,10 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 # overpartition identities
 
 
-def _colored_object_series(p_series, k):
-    # P2's product 1/(q;q)_inf * q^k/(1-q^k)^2, from the partition series:
-    # a shift and two O(n) divisions
-    return p_series.shifted(k).div_binomial(-1, k).div_binomial(-1, k).coeffs
+def _colored_object_series(gf, k):
+    # P2's product 1/(q;q)_inf * q^k/(1-q^k)^2, from the partition series
+    # gf: a shift and two O(n) divisions
+    return gf.shifted(k).div_binomial(-1, k).div_binomial(-1, k).coeffs
 
 
 def _overpartition_cases(tables, config):
@@ -496,9 +443,9 @@ def _overpartition_cases(tables, config):
         return
     A = enumeration.stat_sum_tables(n_max, max(ks))[0]
     counts = enumeration.overpartition_counts(n_max, ks)
-    p_series = tables.get("partition_gf", n_max)
+    gf = tables.get("partition_gf", n_max)
     for k in ks:
-        a_series = _colored_object_series(p_series, k)
+        a_series = _colored_object_series(gf, k)
         overlined, colored = counts[k]
         for n in range(1, n_max + 1):
             yield _case("P1", {"k": k, "n": n}, overlined[n], A[k - 1][0][n])
@@ -577,7 +524,7 @@ def run_all(config=None, suites=None):
     """
     config = config or RunConfig()
     config.validate()
-    tables = TableStore(config.series_order())
+    tables = stats.TableStore(config.series_order())
     return [
         _run_suite(sid, config, tables)
         for sid in SUITE_ORDER

@@ -347,6 +347,23 @@ def test_export_builds_each_base_series_once(monkeypatch):
     assert sorted(orders) == [("mp_base_gf", 100), ("q_squared_gf", 100)]
 
 
+def test_compute_prints_the_export_entry_of_every_table(capsys):
+    # compute and export build each statistic id of TABLES the same way
+    values = {"k": 3, "p": 2, "ell": 2}
+    for stat, (_, params) in cli.TABLES.items():
+        options = ["--%s=%d" % (param, values[param]) for param in params]
+        code, out, _ = run_cli(
+            capsys, "compute", stat, *options, "--n-max", "40", "--format", "json"
+        )
+        assert code == 0, stat
+        code, doc, _ = run_cli(
+            capsys, "export", "--stats", stat, "--k", "3", "--ell", "2", "--n-max", "40"
+        )
+        assert code == 0, stat
+        key = "/".join([stat] + ["%s=%d" % (param, values[param]) for param in params])
+        assert json.loads(out) == json.loads(doc)[key], stat
+
+
 def test_export_p_zero_only(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -375,61 +375,64 @@ def test_gaussian_route_matches_its_dense_sum(n_max):
         assert stats._m_ell_from_gaussian(ell, n_max) == total.coeffs, ell
 
 
-def test_a_given_partition_series_is_the_one_read():
-    # every builder that takes p_series gives the same table with it as
-    # without it, and reads it: a doctored series shows in the table
+# table builder -> (its parameters before n_max, the base series it reads)
+BUILDERS = {
+    "p_table": ((), "partition_gf"),
+    "q_table": ((), "distinct_parts_gf"),
+    "a_kp_table": ((3, 1), "partition_gf"),
+    "a_k_table": ((2,), "partition_gf"),
+    "b_k_table": ((2,), "partition_gf"),
+    "c_k_table": ((3,), "q_squared_gf"),
+    "m_ell_table": ((2,), "partition_gf"),
+    "m_ell_table_pdiff": ((2,), "partition_gf"),
+    "mp_ell_table": ((1,), "mp_base_gf"),
+}
+
+
+def store_holding(name, series):
+    """A store whose base series name, at the order of series, is series."""
+    tables = stats.TableStore()
+    tables._tables[(name, (series.order,))] = series
+    return tables
+
+
+def test_a_builder_reads_the_base_series_of_its_store():
+    # every builder given a store reads its base series there: a doctored
+    # entry shows in the table
+    assert {name for name in dir(stats) if "_table" in name} == set(BUILDERS)
+    assert {base for _, base in BUILDERS.values()} == stats.BASE_SERIES
     n_max = 40
-    gf = partition_gf(n_max)
-    doctored = TruncatedSeries(gf.coeffs[:7] + (gf[7] + 1,) + gf.coeffs[8:])
-    args = {
-        "p_table": (),
-        "a_kp_table": (3, 1),
-        "a_k_table": (2,),
-        "b_k_table": (2,),
-        "m_ell_table_pdiff": (2,),
-    }
-    p_series_tables = {
-        name for name, (kw, _) in stats.BASE_SERIES.items() if kw == "p_series"
-    }
-    assert set(args) | {"m_ell_table"} == p_series_tables
-    for name, head in args.items():
-        build = getattr(stats, name)
-        plain = build(*head, n_max)
-        assert build(*head, n_max, p_series=gf) == plain, name
-        assert build(*head, n_max, p_series=doctored) != plain, name
-    # m_ell_table checks the given series against its Gaussian route
-    assert m_ell_table(2, n_max, p_series=gf) == m_ell_table(2, n_max)
-    with pytest.raises(ArithmeticError):
-        m_ell_table(2, n_max, p_series=doctored)
+    for name, (head, base) in BUILDERS.items():
+        build, series = getattr(stats, name), getattr(stats, base)(n_max)
+        doctored = TruncatedSeries(
+            series.coeffs[:7] + (series[7] + 1,) + series.coeffs[8:]
+        )
+        tables = store_holding(base, doctored)
+        if name == "m_ell_table":
+            # m_ell_table checks the store's P against its Gaussian route
+            with pytest.raises(ArithmeticError):
+                build(*head, n_max, tables=tables)
+        else:
+            assert build(*head, n_max, tables=tables) != build(*head, n_max), name
 
 
-def test_a_partition_series_of_another_order_is_refused():
-    with pytest.raises(ValueError, match="order 30"):
-        b_k_table(2, 40, p_series=partition_gf(30))
+def test_a_builder_builds_the_same_table_with_a_store():
+    # one store of a larger order serves every builder its base series as
+    # a prefix, and each table equals the one its builder builds alone
+    tables = stats.TableStore(60)
+    for n_max in (0, 40, 60):
+        for name, (head, _) in BUILDERS.items():
+            build = getattr(stats, name)
+            assert build(*head, n_max, tables=tables) == build(*head, n_max), name
 
 
-@pytest.mark.parametrize(
-    "name,head,keyword,base",
-    [
-        ("c_k_table", (3,), "q2_series", "q_squared_gf"),
-        ("mp_ell_table", (1,), "mp_base", "mp_base_gf"),
-    ],
-)
-def test_a_given_base_series_is_the_one_read(name, head, keyword, base):
-    # c_k reads Q(q^2) and MP_ell its base through a keyword, as the
-    # p_series builders read P: the same table with the series given as
-    # without it, a doctored series shows, and another order is refused
-    assert stats.BASE_SERIES[name] == (keyword, base)
-    n_max = 40
-    build, series = getattr(stats, name), getattr(stats, base)(n_max)
-    plain = build(*head, n_max)
-    doctored = TruncatedSeries(
-        series.coeffs[:7] + (series[7] + 1,) + series.coeffs[8:]
-    )
-    assert build(*head, n_max, **{keyword: series}) == plain
-    assert build(*head, n_max, **{keyword: doctored}) != plain
-    with pytest.raises(ValueError, match="%s has order 30" % keyword):
-        build(*head, n_max, **{keyword: getattr(stats, base)(30)})
+@pytest.mark.parametrize("name", BUILDERS)
+def test_a_negative_order_is_refused_with_a_store(name):
+    # the store builds a negative order, so that its builder refuses it,
+    # and does not serve it as a prefix
+    head, _ = BUILDERS[name]
+    with pytest.raises(ValueError, match="must be >= 0"):
+        getattr(stats, name)(*head, -1, tables=stats.TableStore(50))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_trunc_expression_vanishes_beyond_pentagonal_support():
     # truncated sum is the full bilateral one, so the whole signed
     # expression collapses to exactly zero
     for k in (2, 3):
-        lhs = verify.PENTAGONAL.lhs(verify.TableStore(), k, 10, 30)
+        lhs = verify.PENTAGONAL.lhs(stats.TableStore(), k, 10, 30)
         assert lhs == [0] * 31
     assert verify.verify_trunc(2, 10, 30).passed
 
@@ -430,7 +430,7 @@ def test_run_all_builds_the_c_and_mp_bases_once(monkeypatch):
 
 
 def test_store_serves_a_smaller_order_as_an_exact_prefix():
-    tables = verify.TableStore(50)
+    tables = stats.TableStore(50)
     for name in ("partition_gf", "q_squared_gf", "mp_base_gf"):
         assert tables.get(name, 20) == getattr(stats, name)(20), name
     # an order above the store's is built at that order
@@ -470,7 +470,7 @@ def test_colored_object_series_matches_its_convolution(n_max):
 
 def test_table_store_builds_on_first_request_only(monkeypatch):
     builds = count_table_builds(monkeypatch)
-    tables = verify.TableStore()
+    tables = stats.TableStore()
     first = tables.get("m_ell_table", 2, 30)
     assert tables.get("m_ell_table", 2, 30) is first
     assert tables.get("m_ell_table", 2, 31) is not first
