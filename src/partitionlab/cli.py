@@ -6,9 +6,9 @@ Subcommands:
   export   -- bulk-dump a family of statistic tables as one JSON document
 
 Exit codes: 0 success, 1 at least one identity failure, 2 invalid
-usage/parameters, 3 I/O error, 4 internal inconsistency (a consistency
-check inside a statistic table failed).  Identical invocations produce
-byte-identical output.
+usage/parameters, 3 I/O error, 4 internal inconsistency (a statistic
+table failed its own check: a negative M or MP count, or a nonzero MP
+constant term).  Identical invocations produce byte-identical output.
 """
 
 import argparse

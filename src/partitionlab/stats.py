@@ -5,9 +5,14 @@ n, computed exactly from truncated series arithmetic (never by
 enumerating partitions; the `enumeration` module is the independent
 cross-check).
 
-Every table is a few O(n) steps on one base series: the partition series
-1/(q;q)_inf, Q(q^2), the MP base (-q;q^2)_inf/(q^2;q^2)_inf or the
-distinct-parts series (BASE_SERIES).  A builder called alone builds its
+Every table but M_ell is a few O(n) steps on one base series: the
+partition series 1/(q;q)_inf, Q(q^2), the MP base
+(-q;q^2)_inf/(q^2;q^2)_inf or the distinct-parts series (BASE_SERIES).
+M_ell has two builders, one route each, which share no algebra:
+m_ell_table sums the Gaussian-binomial series and reads no base series,
+and m_ell_table_pdiff multiplies the partition series by the pentagonal
+truncation.  The `m-routes` suite of `verify` compares the two; neither
+builder checks the other.  A builder called alone builds its
 base series itself.  A caller that builds many tables, such as one
 `verify` run or one `export` document, gives each builder the same
 TableStore through the keyword ``tables``; the store builds each table
@@ -19,7 +24,6 @@ from .series import (
     TruncatedSeries,
     distinct_parts_gf,
     partition_gf,
-    pentagonal_number,
     pentagonal_series,
     product,
     theta_truncated,
@@ -202,16 +206,6 @@ def c_k_table(k, n_max, *, tables=None):
     return StatTable("c", {"k": k}, series.coeffs)
 
 
-def _m_ell_from_pentagonal(ell, gf):
-    # (-1)^(ell-1) * (pentagonal truncation / (q;q)_inf  -  1); the
-    # truncation has 2*ell terms, so the product is 2*ell shifted copies
-    series = gf.mul_sparse(pentagonal_series(gf.order, ell))
-    sign = -1 if ell % 2 == 0 else 1
-    coeffs = [sign * c for c in series.coeffs]
-    coeffs[0] -= sign
-    return tuple(coeffs)
-
-
 def _m_ell_from_gaussian(ell, n_max):
     # sum over m >= ell of q^(C(ell,2) + (ell+1) m) / (q;q)_m * [m-1, ell-1]_q,
     # maintaining 1/(q;q)_m and the Gaussian binomial incrementally
@@ -242,45 +236,36 @@ def m_ell_table(ell, n_max, *, tables=None):
     """M_ell(n): partitions of n in which ell is the least positive
     non-part and parts above ell outnumber parts below ell.
 
-    Evaluated through the pentagonal truncation and, independently,
-    through the Gaussian-binomial sum; the two must agree coefficientwise
-    and be nonnegative, otherwise the computation itself is broken.
+    Evaluated by the Gaussian-binomial sum of the truncated pentagonal
+    number theorem (Andrews & Merca), which reads no base series; tables
+    is accepted so that a store calls every builder alike.  The result
+    counts partitions, so a negative entry raises.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    values = _m_ell_from_gaussian(ell, n_max)
+    if any(v < 0 for v in values):
+        raise ArithmeticError("M_%d produced a negative count" % ell)
+    return StatTable("m", {"ell": ell}, values)
+
+
+def m_ell_table_pdiff(ell, n_max, *, tables=None):
+    """M_ell via partition-count differences:
+    (-1)^(ell-1) sum_{j=0..ell-1} (-1)^j (p(n - j(3j+1)/2) - p(n - (j+1)(3j+2)/2)),
+    valid for n >= 1 (the entry at n=0 is 0 by convention).  That is
+    (-1)^(ell-1) * (pentagonal truncation / (q;q)_inf - 1), whose product
+    is 2*ell shifted copies of the partition series.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
-    primary = _m_ell_from_pentagonal(ell, gf)
-    second = _m_ell_from_gaussian(ell, n_max)
-    if primary != second:
-        raise ArithmeticError(
-            "M_%d evaluation routes disagree at n=%d"
-            % (ell, next(n for n in range(n_max + 1) if primary[n] != second[n]))
-        )
-    if any(v < 0 for v in primary):
-        raise ArithmeticError("M_%d produced a negative count" % ell)
-    return StatTable("m", {"ell": ell}, primary)
-
-
-def m_ell_table_pdiff(ell, n_max, *, tables=None):
-    """Third evaluation of M_ell via partition-count differences:
-    (-1)^(ell-1) sum_{j=0..ell-1} (-1)^j (p(n - j(3j+1)/2) - p(n - (j+1)(3j+2)/2)),
-    valid for n >= 1 (the entry at n=0 is 0 by convention)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
-    p = gf.coeffs
+    series = gf.mul_sparse(pentagonal_series(n_max, ell))
     sign = -1 if ell % 2 == 0 else 1
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        total = 0
-        for j in range(ell):
-            g1 = pentagonal_number(-j)
-            g2 = pentagonal_number(j + 1)
-            v1 = p[n - g1] if n >= g1 else 0
-            v2 = p[n - g2] if n >= g2 else 0
-            total += (v1 - v2) if j % 2 == 0 else (v2 - v1)
-        out[n] = sign * total
-    return StatTable("m", {"ell": ell}, tuple(out))
+    coeffs = [sign * c for c in series.coeffs]
+    coeffs[0] -= sign
+    return StatTable("m", {"ell": ell}, tuple(coeffs))
 
 
 def mp_ell_table(ell, n_max, *, tables=None):

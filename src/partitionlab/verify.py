@@ -207,8 +207,7 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
     0..n_max, reading the run's tables.  The terms are built here from
     pentagonal_number and triangular_number, never taken from
     series.pentagonal_series or series.theta_truncated, because
-    stats.m_ell_table and stats.mp_ell_table build the remainders from
-    those.
+    stats.m_ell_table_pdiff and stats.mp_ell_table are built from those.
     """
 
     __slots__ = ()
@@ -347,21 +346,21 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
 
 
 def _bad_exponent_cells(tables, n_max, ell_max):
-    """Cells of the k=2 theta identity evaluated with the wrong sign
-    (-1)^j instead of (-1)^(j(j+1)/2), yielding (n, ell, lhs, rhs)."""
+    """The BadExponent cases of the k=2 theta identity evaluated with the
+    wrong sign (-1)^j instead of (-1)^(j(j+1)/2), by increasing n, then
+    increasing ell."""
     family, ells = TRIANGULAR_UNCORRECTED, range(1, ell_max + 1)
     rhs = {ell: family.remainder(tables, 2, ell, n_max) for ell in ells}
     lhs = {ell: family.lhs(tables, 2, ell, n_max) for ell in ells}
     for n in range(1, n_max + 1):
         for ell in ells:
-            yield n, ell, lhs[ell][n], rhs[ell][n]
+            params = {"k": 2, "ell": ell, "n": n}
+            yield _case("BadExponent", params, lhs[ell][n], rhs[ell][n])
 
 
 def _bad_exponent_witness(tables, n_max, ell_max):
-    for n, ell, lhs, rhs in _bad_exponent_cells(tables, n_max, ell_max):
-        if lhs != rhs:
-            return n, ell
-    return None
+    cases = _bad_exponent_cells(tables, n_max, ell_max)
+    return next((c for c in cases if not c.passed), None)
 
 
 def find_bad_exponent_counterexample(n_max, ell_max=3):
@@ -369,20 +368,17 @@ def find_bad_exponent_counterexample(n_max, ell_max=3):
 
     Cells are scanned by increasing n, then increasing ell.
     """
-    return _bad_exponent_witness(stats.TableStore(), n_max, ell_max)
+    witness = _bad_exponent_witness(stats.TableStore(), n_max, ell_max)
+    return None if witness is None else (witness.params["n"], witness.params["ell"])
 
 
 def uncorrected_exponent_report(n_max, ell_max=3):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
-    cells = _bad_exponent_cells(stats.TableStore(), n_max, ell_max)
     return _report(
         "bad-exponent",
         {"n_max": n_max, "k": [2, 2], "ell": [1, ell_max], "mode": "raw"},
-        (
-            _case("BadExponent", {"k": 2, "ell": ell, "n": n}, lhs, rhs)
-            for n, ell, lhs, rhs in cells
-        ),
+        _bad_exponent_cells(stats.TableStore(), n_max, ell_max),
     )
 
 
@@ -408,7 +404,7 @@ def _bad_exponent_witness_cases(tables, config):
     if witness is None:
         yield _case("BadExponent", {"witness_found": 0}, 0, 1)
     else:
-        n, ell = witness
+        n, ell = witness.params["n"], witness.params["ell"]
         yield _case(
             "BadExponent", {"witness_found": 1, "n": n, "ell": ell}, 1, 1
         )
@@ -467,16 +463,18 @@ def verify_overpartition_identities(k, n_max):
 def _m_route_cases(tables, config):
     n_max = config.n_max
     for ell in config.ells():
-        # internally: pentagonal == gaussian
-        primary = tables.get("m_ell_table", ell, n_max)
+        # the Gaussian-binomial sum, which reads no P, against the
+        # pentagonal truncation times P
+        gaussian = tables.get("m_ell_table", ell, n_max)
         pdiff = tables.get("m_ell_table_pdiff", ell, n_max)
         for n in range(n_max + 1):
-            yield _case("PfT2", {"ell": ell, "n": n}, primary[n], pdiff[n])
+            yield _case("PfT2", {"ell": ell, "n": n}, gaussian[n], pdiff[n])
 
 
 def verify_m_routes(ell_max, n_max):
-    """All three M_ell evaluations agree: pentagonal rearrangement,
-    Gaussian-binomial sum, and partition-count differences."""
+    """The two M_ell routes agree: the Gaussian-binomial sum
+    (stats.m_ell_table) and the partition-count differences, the
+    pentagonal truncation times P (stats.m_ell_table_pdiff)."""
     return _run_suite("m-routes", RunConfig(n_max, ell_range=(1, ell_max)))
 
 

@@ -161,13 +161,13 @@ def test_compute_unwritable_path_exit_3(capsys):
 
 def test_internal_inconsistency_exit_4(capsys, monkeypatch):
     def inconsistent(ell, n_max):
-        raise ArithmeticError("M_%d evaluation routes disagree at n=3" % ell)
+        raise ArithmeticError("M_%d produced a negative count" % ell)
 
     monkeypatch.setattr(stats, "m_ell_table", inconsistent)
     code, out, err = run_cli(capsys, "compute", "m", "--ell", "2", "--n-max", "5")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
-    assert err == "error: internal inconsistency: M_2 evaluation routes disagree at n=3\n"
+    assert err == "error: internal inconsistency: M_2 produced a negative count\n"
 
 
 def test_compute_output_is_deterministic(capsys):

@@ -304,6 +304,77 @@ def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# fault coverage: every table and base series a store serves
+
+
+def corrupt_store_entry(monkeypatch, target, n):
+    """Make every run's TableStore add 1 to entry n of each table or base
+    series named target that it builds."""
+
+    class CorruptingStore(stats.TableStore):
+        def _build(self, name, args):
+            built = super()._build(name, args)
+            if name != target or len(built) <= n:
+                return built
+            if name in stats.BASE_SERIES:
+                coeffs = list(built.coeffs)
+                coeffs[n] += 1
+                return TruncatedSeries(coeffs)
+            values = list(built.values)
+            values[n] += 1
+            return stats.StatTable(built.stat_id, built.params, tuple(values))
+
+    monkeypatch.setattr(stats, "TableStore", CorruptingStore)
+
+
+# every name a store serves: the base series and every table builder,
+# m_ell_table_pdiff included
+STORE_NAMES = sorted(
+    stats.BASE_SERIES | {name for name in dir(stats) if "_table" in name}
+)
+# (name, n) whose corruption fails no cell of verify all at the default
+# config.  No suite reads Q or p; a corrupted MP base at n = 5 makes
+# mp_ell_table raise its negativity ArithmeticError instead.  The set may
+# only shrink
+EXPECTED_MISSES = {
+    ("distinct_parts_gf", 5),
+    ("distinct_parts_gf", 45),
+    ("p_table", 5),
+    ("p_table", 45),
+    ("q_table", 5),
+    ("q_table", 45),
+    ("mp_base_gf", 5),
+}
+
+
+CORRUPTED_ENTRIES = [5, 45]
+
+
+def test_expected_misses_are_cases_of_the_matrix():
+    cases = {(name, n) for name in STORE_NAMES for n in CORRUPTED_ENTRIES}
+    assert EXPECTED_MISSES <= cases
+    assert "m_ell_table_pdiff" in STORE_NAMES
+
+
+@pytest.mark.parametrize("n", CORRUPTED_ENTRIES)
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_a_corrupted_store_entry_fails_a_cell(monkeypatch, name, n):
+    corrupt_store_entry(monkeypatch, name, n)
+    try:
+        failed = sum(len(r.failures) for r in run_all(RunConfig()))
+    except ArithmeticError:
+        failed = 0
+    assert (failed == 0) == ((name, n) in EXPECTED_MISSES), failed
+
+
+def test_verify_all_with_a_corrupted_partition_series_exits_1(monkeypatch, capsys):
+    # a wrong P is a failed identity, not an internal inconsistency
+    corrupt_store_entry(monkeypatch, "partition_gf", 5)
+    assert cli.main(["verify", "all"]) == cli.EXIT_FAILURES == 1
+    assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
 # the table store of a run
 
 SUITES_READING_B = ("thmgf", "thmcomb", "trunc", "trunc-corollaries", "gen17")
@@ -569,6 +640,14 @@ def test_run_all_default_passes():
     reports = run_all(RunConfig())
     assert [r.suite_id for r in reports] == list(verify.SUITE_ORDER)
     assert all(r.passed for r in reports)
+
+
+def test_run_all_at_n240_is_golden():
+    # the one golden in which trunc and m-routes read M_ell past order 60
+    text = reports_to_json(run_all(RunConfig(n_max=240, k_range=(1, 5))))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "29992289d7239c8366541bcd34010dbb9def10ce39501bc146cbabe7345e06a2"
+    )
 
 
 def test_run_all_empty_ranges_pass():
