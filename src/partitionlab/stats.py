@@ -1,9 +1,9 @@
 """Series-backed evaluation of every partition statistic.
 
-Each table builder returns a StatTable whose entry n is the statistic at
-n, computed exactly from truncated series arithmetic (never by
-enumerating partitions; the `enumeration` module is the independent
-cross-check).
+Each table builder returns the TruncatedSeries whose coefficient of q^n
+is the statistic at n, computed exactly from truncated series
+arithmetic (never by enumerating partitions; the `enumeration` module is
+the independent cross-check).
 
 Every table but M_ell is a few O(n) steps on one base series: the
 partition series 1/(q;q)_inf, Q(q^2), the MP base
@@ -35,48 +35,6 @@ from .series import (
 BASE_SERIES = frozenset(
     ("partition_gf", "q_squared_gf", "mp_base_gf", "distinct_parts_gf")
 )
-
-
-class StatTable:
-    """A statistic's values indexed by n = 0..n_max.
-
-    Indexing with a negative n reads 0 (shifted identities need that);
-    indexing past n_max raises, so a too-short table is never silently
-    treated as zero.
-    """
-
-    __slots__ = ("stat_id", "params", "values")
-
-    def __init__(self, stat_id, params=None, values=()):
-        self.stat_id = stat_id
-        self.params = {} if params is None else params
-        self.values = values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
-        return "StatTable(%s)" % fields
-
-    @property
-    def n_max(self):
-        return len(self.values) - 1
-
-    def __getitem__(self, n):
-        if n < 0:
-            return 0
-        if n > self.n_max:
-            raise IndexError(
-                "n=%d beyond table range 0..%d for stat %r"
-                % (n, self.n_max, self.stat_id)
-            )
-        return self.values[n]
-
-    def __len__(self):
-        return len(self.values)
 
 
 class TableStore:
@@ -131,20 +89,22 @@ def mp_base_gf(n_max):
     return base
 
 
+def k_weighted(series, k):
+    """series * q^k/(1-q^k)^2, whose coefficient of q^n is
+    sum_{j>=1} j * series(n - kj): a shift and two O(n) divisions."""
+    return series.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
+
+
 def p_table(n_max, *, tables=None):
     """p(n): number of partitions of n."""
-    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
-    return StatTable("p", {}, gf.coeffs)
+    return partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
 
 
 def q_table(n_max, *, tables=None):
     """Q(n): number of partitions of n into distinct parts."""
-    gf = (
-        distinct_parts_gf(n_max)
-        if tables is None
-        else tables.get("distinct_parts_gf", n_max)
-    )
-    return StatTable("q", {}, gf.coeffs)
+    if tables is None:
+        return distinct_parts_gf(n_max)
+    return tables.get("distinct_parts_gf", n_max)
 
 
 def b_k_table(k, n_max, *, tables=None):
@@ -155,10 +115,8 @@ def b_k_table(k, n_max, *, tables=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # q^k/(1-q^k)^2 is a shift and two O(n) divisions
     gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
-    series = gf.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
-    return StatTable("b", {"k": k}, series.coeffs)
+    return k_weighted(gf, k)
 
 
 def a_kp_table(k, p, n_max, *, tables=None):
@@ -180,8 +138,7 @@ def a_kp_table(k, p, n_max, *, tables=None):
             for x, y in zip(gf.shifted(p).coeffs, gf.shifted(p + k).coeffs)
         ]
     )
-    series = numerator.div_binomial(-1, k).div_binomial(-1, k)
-    return StatTable("a", {"k": k, "p": p}, series.coeffs)
+    return numerator.div_binomial(-1, k).div_binomial(-1, k)
 
 
 def a_k_table(k, n_max, *, tables=None):
@@ -198,12 +155,10 @@ def c_k_table(k, n_max, *, tables=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # q^k/(1-q^k)^2 is a shift and two O(n) divisions
     q_squared = (
         q_squared_gf(n_max) if tables is None else tables.get("q_squared_gf", n_max)
     )
-    series = q_squared.shifted(k).div_binomial(-1, k).div_binomial(-1, k)
-    return StatTable("c", {"k": k}, series.coeffs)
+    return k_weighted(q_squared, k)
 
 
 def _m_ell_from_gaussian(ell, n_max):
@@ -248,7 +203,7 @@ def m_ell_table(ell, n_max, *, tables=None):
     values = _m_ell_from_gaussian(ell, n_max)
     if any(v < 0 for v in values):
         raise ArithmeticError("M_%d produced a negative count" % ell)
-    return StatTable("m", {"ell": ell}, values)
+    return TruncatedSeries(values)
 
 
 def m_ell_table_pdiff(ell, n_max, *, tables=None):
@@ -265,7 +220,7 @@ def m_ell_table_pdiff(ell, n_max, *, tables=None):
     sign = -1 if ell % 2 == 0 else 1
     coeffs = [sign * c for c in series.coeffs]
     coeffs[0] -= sign
-    return StatTable("m", {"ell": ell}, tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def mp_ell_table(ell, n_max, *, tables=None):
@@ -289,7 +244,7 @@ def mp_ell_table(ell, n_max, *, tables=None):
     bad = next((n for n, v in enumerate(coeffs) if v < 0), None)
     if bad is not None:
         raise ArithmeticError("MP_%d negative at n=%d" % (ell, bad))
-    return StatTable("mp", {"ell": ell}, tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def divisor_term(n, k):

@@ -11,8 +11,8 @@ All equalities are exact integer comparisons; there are no tolerances.
 import json
 from collections import namedtuple
 
-from . import enumeration, kernels, stats
-from .series import TruncatedSeries, pentagonal_number, triangular_number
+from . import enumeration, stats
+from .series import pentagonal_number, triangular_number
 
 EQUALITY = "eq"
 NONNEGATIVE = "ge"
@@ -60,9 +60,8 @@ class VerificationReport(
 class RunConfig(
     namedtuple(
         "RunConfig",
-        "n_max k_range ell_range all_residues enum_cap subset_cap threads",
-        # threads is accepted and validated; suites run serially
-        defaults=(60, (1, 4), (1, 3), True, 30, 12, 1),
+        "n_max k_range ell_range all_residues enum_cap",
+        defaults=(60, (1, 4), (1, 3), True, 30),
     )
 ):
     """Ranges and caps for a full verification run.
@@ -80,12 +79,10 @@ class RunConfig(
             raise ValueError("k values must be >= 1")
         if self.ell_range[0] < 1:
             raise ValueError("ell values must be >= 1")
-        if self.enum_cap < 0 or self.subset_cap < 0:
-            raise ValueError("caps must be >= 0")
+        if self.enum_cap < 0:
+            raise ValueError("enum_cap must be >= 0")
         if self.k_range[0] <= self.k_range[1] and self.n_max < self.k_range[1]:
             raise ValueError("n_max must be >= the largest k")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def ks(self):
         return range(self.k_range[0], self.k_range[1] + 1)
@@ -178,8 +175,9 @@ def _thmcomb_cases(tables, config):
             continue
         for p in range(1, k):
             ap_tab = tables.get("a_kp_table", k, p, order)
+            b_before = b_tab.shifted(p)  # b_k(n - p), 0 for n < p
             for n in range(1, n_max + 1):
-                rhs = (k - p) * b_tab[n - p] + p * b_tab[n + k - p]
+                rhs = (k - p) * b_before[n] + p * b_tab[n + k - p]
                 yield _case(
                     "ThmComb-2", {"k": k, "p": p, "n": n}, ap_tab[n], rhs
                 )
@@ -214,8 +212,7 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
 
     def signed_sum(self, tables, k, ell, n_max):
         terms = ((self.exponent(j), self.sign(j)) for j in self.js(ell))
-        b_values = tables.get("b_k_table", k, n_max).values
-        return TruncatedSeries(b_values).shift_sum(terms).coeffs
+        return tables.get("b_k_table", k, n_max).shift_sum(terms).coeffs
 
     def lhs(self, tables, k, ell, n_max):
         sign = -1 if ell % 2 == 0 else 1
@@ -234,15 +231,13 @@ def _alternating(j):
 
 def _pentagonal_remainder(tables, k, ell, n_max):
     # sum_j j M_ell(n - kj): the coefficient of q^n in M_ell * q^k/(1 - q^k)^2
-    m_series = TruncatedSeries(tables.get("m_ell_table", ell, n_max).values)
-    return m_series.shifted(k).div_binomial(-1, k).div_binomial(-1, k).coeffs
+    return stats.k_weighted(tables.get("m_ell_table", ell, n_max), k).coeffs
 
 
 def _theta_remainder(tables, k, ell, n_max):
     # sum_j c_k(j) MP_ell(n - j)
-    c_values = tables.get("c_k_table", k, n_max).values
-    mp_values = tables.get("mp_ell_table", ell, n_max).values
-    return kernels.convolve(list(c_values), list(mp_values))
+    c_k = tables.get("c_k_table", k, n_max)
+    return (c_k * tables.get("mp_ell_table", ell, n_max)).coeffs
 
 
 PENTAGONAL = ThetaFamily(
@@ -256,14 +251,14 @@ TRIANGULAR = ThetaFamily(
     js=lambda ell: range(2 * ell),
     exponent=triangular_number,
     sign=stats.triangular_weight_sign,  # (-1)^(j(j+1)/2)
-    main=lambda tables, k, n_max: tables.get("c_k_table", k, n_max).values,
+    main=lambda tables, k, n_max: tables.get("c_k_table", k, n_max).coeffs,
     remainder=_theta_remainder,
 )
 # the diagnostic main term [k | n] * c_k(n) of verify_gen17(indicator_form=True)
 TRIANGULAR_INDICATOR = TRIANGULAR._replace(
     main=lambda tables, k, n_max: [
         c if n % k == 0 else 0
-        for n, c in enumerate(tables.get("c_k_table", k, n_max).values)
+        for n, c in enumerate(tables.get("c_k_table", k, n_max).coeffs)
     ]
 )
 # the sign (-1)^j that the paper corrects to (-1)^(j(j+1)/2)
@@ -421,12 +416,6 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 # overpartition identities
 
 
-def _colored_object_series(gf, k):
-    # P2's product 1/(q;q)_inf * q^k/(1-q^k)^2, from the partition series
-    # gf: a shift and two O(n) divisions
-    return gf.shifted(k).div_binomial(-1, k).div_binomial(-1, k).coeffs
-
-
 def _overpartition_cases(tables, config):
     # P1 compares one walk over every partition with the part-value DP
     # stat_sum_tables, which walks no partition: two independent counts.
@@ -441,7 +430,7 @@ def _overpartition_cases(tables, config):
     counts = enumeration.overpartition_counts(n_max, ks)
     gf = tables.get("partition_gf", n_max)
     for k in ks:
-        a_series = _colored_object_series(gf, k)
+        a_series = stats.k_weighted(gf, k)
         overlined, colored = counts[k]
         for n in range(1, n_max + 1):
             yield _case("P1", {"k": k, "n": n}, overlined[n], A[k - 1][0][n])
@@ -517,8 +506,7 @@ def run_all(config=None, suites=None):
     configured ranges, one after another over one TableStore.
 
     Reports come back in SUITE_ORDER, so identical configs yield
-    identical output; config.threads is validated but does not change
-    how the suites run.
+    identical output.
     """
     config = config or RunConfig()
     config.validate()

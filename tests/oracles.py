@@ -2,8 +2,8 @@
 package computes by shortcuts, kept here as oracles of those shortcuts.
 
 - `geometric_kernel(k, order)` is sum_m m*q^(k*m); times a base series it
-  is the dense product that `stats.b_k_table` and
-  `verify._colored_object_series` replace by a shift and two divisions.
+  is the dense product that `stats.k_weighted` replaces by a shift and
+  two divisions.
 - `gaussian_binomial(n, ell, order)` is [n, ell]_q from the q-Pascal
   recurrence, the oracle of the stepped Gaussian route of M_ell.
 """

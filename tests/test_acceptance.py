@@ -5,8 +5,6 @@ there are no numeric tolerances anywhere.
 Run it alone with:  pytest tests/test_acceptance.py -v -s
 """
 
-import os
-
 from partitionlab import enumeration, stats, verify
 from partitionlab.enumeration import (
     a_k,
@@ -21,10 +19,7 @@ from partitionlab.enumeration import (
 from partitionlab.series import euler_product, pentagonal_series
 from partitionlab.stats import c_k_table, m_ell_table, mp_ell_table, p_table
 from partitionlab.verify import (
-    RunConfig,
     find_bad_exponent_counterexample,
-    reports_to_json,
-    run_all,
     verify_gen17,
     verify_m_routes,
     verify_overpartition_identities,
@@ -181,14 +176,3 @@ def test_criterion_09_pentagonal_product_identity():
         euler_product(400) == pentagonal_series(400),
     )
 
-
-def test_criterion_10_determinism_across_threads():
-    config_serial = RunConfig(threads=1)
-    config_parallel = RunConfig(threads=max(os.cpu_count() or 2, 2))
-    serial = reports_to_json(run_all(config_serial)).encode()
-    parallel = reports_to_json(run_all(config_parallel)).encode()
-    check(
-        10,
-        "verify-all JSON is byte-identical for 1 thread and max threads",
-        serial == parallel,
-    )

@@ -167,10 +167,10 @@ def test_statistics_past_the_sweep_bound_match_the_series():
     b_table = b_k_table(3, n_max)
     for p in range(3):
         a_table = a_kp_table(3, p, n_max)
-        assert A[2][p] == list(a_table.values)
+        assert A[2][p] == list(a_table.coeffs)
         # the lookup past the default cap reads the same DP
         assert a_kp(n_max, 3, p, cap=n_max) == a_table[n_max]
-    assert B[2] == list(b_table.values)
+    assert B[2] == list(b_table.coeffs)
     assert b_k(n_max, 3, cap=n_max) == b_table[n_max]
 
 
@@ -364,7 +364,7 @@ def test_mp_verbal_reading_differs():
 def test_mp_verbal_discrepancies_are_reported():
     from partitionlab.stats import mp_ell_table
 
-    table = mp_ell_table(3, 21).values
+    table = mp_ell_table(3, 21).coeffs
     reported = mp_verbal_discrepancies(3, 21, table)
     assert (5, 3, 0) in reported
     # every discrepancy really is a disagreement

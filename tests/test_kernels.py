@@ -132,8 +132,8 @@ def test_stat_sum_tables_match_the_series():
     A, B = stat_sum_tables(60, 6)
     for k in range(1, 7):
         for p in range(k):
-            assert A[k - 1][p] == list(a_kp_table(k, p, 60).values), (k, p)
-        assert B[k - 1] == list(b_k_table(k, 60).values), k
+            assert A[k - 1][p] == list(a_kp_table(k, p, 60).coeffs), (k, p)
+        assert B[k - 1] == list(b_k_table(k, 60).coeffs), k
 
 
 def test_stat_sum_tables_domain_errors():

@@ -15,7 +15,6 @@ from partitionlab.series import (
     theta_truncated,
 )
 from partitionlab.stats import (
-    StatTable,
     a_k_table,
     a_kp_table,
     b_k_table,
@@ -27,45 +26,6 @@ from partitionlab.stats import (
     p_table,
     q_table,
 )
-
-# ---------------------------------------------------------------------------
-# StatTable indexing
-
-
-def test_stat_table_negative_index_reads_zero():
-    t = StatTable("b", {"k": 2}, (0, 1, 2))
-    assert t[-1] == 0
-    assert t[-99] == 0
-    assert t[2] == 2
-
-
-def test_stat_table_overflow_raises():
-    t = StatTable("b", {"k": 2}, (0, 1, 2))
-    with pytest.raises(IndexError):
-        t[3]
-
-
-def test_stat_tables_share_no_default_params():
-    one, two = StatTable("x"), StatTable("x")
-    assert one == two
-    assert one.params is not two.params
-    one.params["k"] = 1
-    assert two.params == {}
-    assert one != two
-    # the default table is empty: n_max is -1
-    assert two[-1] == 0
-    with pytest.raises(IndexError):
-        two[0]
-
-
-def test_stat_table_equality_and_repr():
-    t = StatTable("b", {"k": 2}, (0, 1, 2))
-    assert t == StatTable(stat_id="b", params={"k": 2}, values=(0, 1, 2))
-    assert t != StatTable("b", {"k": 3}, (0, 1, 2))
-    assert t != StatTable("b", {"k": 2}, (0, 1))
-    assert t != ("b", {"k": 2}, (0, 1, 2))
-    assert repr(t) == "StatTable(stat_id='b', params={'k': 2}, values=(0, 1, 2))"
-
 
 # ---------------------------------------------------------------------------
 # p and Q
@@ -142,7 +102,7 @@ def test_a_table_equals_the_generating_function_product():
                     p, p, order
                 ) + TruncatedSeries.monomial(k - p, p + k, order)
                 product = gf * numerator * inv_sq
-                assert a_kp_table(k, p, order).values == product.coeffs, (
+                assert a_kp_table(k, p, order).coeffs == product.coeffs, (
                     order,
                     k,
                     p,
@@ -161,8 +121,8 @@ def test_a_even_odd_closed_forms():
         1, 3, order
     )
     odd = partition_gf(order) * odd_num * inv_sq
-    assert a_kp_table(2, 0, order).values == even.coeffs
-    assert a_kp_table(2, 1, order).values == odd.coeffs
+    assert a_kp_table(2, 0, order).coeffs == even.coeffs
+    assert a_kp_table(2, 1, order).coeffs == odd.coeffs
 
 
 def test_a_total_closed_form():
@@ -172,7 +132,7 @@ def test_a_total_closed_form():
         TruncatedSeries.one(order).mul_binomial(-1, 1).mul_binomial(-1, 1).invert()
     )
     total = partition_gf(order) * TruncatedSeries.monomial(1, 1, order) * inv_sq
-    assert a_k_table(1, order).values == total.coeffs
+    assert a_k_table(1, order).coeffs == total.coeffs
 
 
 def test_linear_relations_between_a_and_b():
@@ -185,7 +145,8 @@ def test_linear_relations_between_a_and_b():
         for p in range(1, k):
             ap = a_kp_table(k, p, order + k + 1)
             for n in range(1, order + 1):
-                assert ap[n] == (k - p) * b[n - p] + p * b[n + k - p]
+                b_before = b[n - p] if n >= p else 0
+                assert ap[n] == (k - p) * b_before + p * b[n + k - p]
 
 
 def test_three_term_b2_recurrence():
@@ -220,7 +181,7 @@ def test_c_k_table_matches_the_literal_sum():
     # the table comes from the generating function Q(q^2) q^k/(1-q^k)^2;
     # the defining sum over j is its oracle
     n_max = 200
-    q_values = q_table(n_max // 2).values
+    q_values = q_table(n_max // 2).coeffs
     for k in range(1, 7):
         literal = [
             sum(
@@ -230,7 +191,7 @@ def test_c_k_table_matches_the_literal_sum():
             )
             for n in range(n_max + 1)
         ]
-        assert list(c_k_table(k, n_max).values) == literal, k
+        assert list(c_k_table(k, n_max).coeffs) == literal, k
 
 
 def test_c_k_odd_arguments():
@@ -260,7 +221,7 @@ def test_m_two_routes_agree():
     for ell in range(1, 6):
         gaussian = m_ell_table(ell, 120)  # the Gaussian-binomial sum
         pdiff = m_ell_table_pdiff(ell, 120)  # the pentagonal truncation times P
-        assert gaussian.values == pdiff.values
+        assert gaussian.coeffs == pdiff.coeffs
 
 
 def test_m_table_rejects_bad_ell():
@@ -291,7 +252,7 @@ def test_mp_first_support_is_ell_times_2ell_plus_1():
 def test_mp_nonnegative_long_range():
     t = mp_ell_table(1, 200)
     assert t[0] == 0
-    assert all(v >= 0 for v in t.values)
+    assert all(v >= 0 for v in t.coeffs)
 
 
 def test_mp_table_rejects_bad_ell():
@@ -345,15 +306,15 @@ def test_short_factor_builders_match_their_convolutions(n_max):
     gf = partition_gf(n_max)
     for k in range(1, 7):
         oracle = (geometric_kernel(k, n_max) * gf).coeffs
-        assert b_k_table(k, n_max).values == oracle, k
+        assert b_k_table(k, n_max).coeffs == oracle, k
     odd = product(1, 1, 2, n_max)
     even = product(-1, 2, 2, n_max)
     mp_base = odd * even.invert()
     for ell in range(1, 6):
         pentagonal = pentagonal_series(n_max, ell) * gf
-        assert m_ell_table_pdiff(ell, n_max).values == signed_count(pentagonal, ell)
+        assert m_ell_table_pdiff(ell, n_max).coeffs == signed_count(pentagonal, ell)
         theta = theta_truncated(ell, n_max) * mp_base
-        assert mp_ell_table(ell, n_max).values == signed_count(theta, ell), ell
+        assert mp_ell_table(ell, n_max).coeffs == signed_count(theta, ell), ell
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 9, 14, 20, 35, 80])
@@ -423,6 +384,16 @@ def test_a_builder_builds_the_same_table_with_a_store():
         for name, (head, _) in BUILDERS.items():
             build = getattr(stats, name)
             assert build(*head, n_max, tables=tables) == build(*head, n_max), name
+
+
+@pytest.mark.parametrize("name", sorted(stats.BASE_SERIES | set(BUILDERS)))
+def test_every_store_entry_is_a_truncated_series(name):
+    # base series and tables alike, built at its order or served as a prefix
+    head = BUILDERS[name][0] if name in BUILDERS else ()
+    for tables in (stats.TableStore(), stats.TableStore(50)):
+        entry = tables.get(name, *head, 30)
+        assert type(entry) is TruncatedSeries, name
+        assert entry.order == 30, name
 
 
 @pytest.mark.parametrize("name", BUILDERS)

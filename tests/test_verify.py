@@ -180,11 +180,10 @@ def corrupt_b_tables(monkeypatch):
     real = stats.b_k_table
 
     def corrupted(k, n_max, **kwargs):
-        table = real(k, n_max, **kwargs)
-        values = list(table.values)
+        values = list(real(k, n_max, **kwargs).coeffs)
         if len(values) > 7:
             values[7] += 1
-        return stats.StatTable(table.stat_id, table.params, tuple(values))
+        return TruncatedSeries(values)
 
     monkeypatch.setattr(stats, "b_k_table", corrupted)
 
@@ -237,10 +236,9 @@ def test_corrupted_m_entry_fails_trunc_from_i_plus_k(monkeypatch, k, ell, i):
     real = stats.m_ell_table
 
     def corrupted(ell_, n_max, **kwargs):
-        table = real(ell_, n_max, **kwargs)
-        values = list(table.values)
+        values = list(real(ell_, n_max, **kwargs).coeffs)
         values[i] += 1
-        return stats.StatTable(table.stat_id, table.params, tuple(values))
+        return TruncatedSeries(values)
 
     monkeypatch.setattr(stats, "m_ell_table", corrupted)
     report = verify_trunc(k, ell, 30)
@@ -256,10 +254,9 @@ def test_corrupted_mp_entry_fails_gen17_from_i_plus_k(monkeypatch, k, ell, i):
     real = stats.mp_ell_table
 
     def corrupted(ell_, n_max, **kwargs):
-        table = real(ell_, n_max, **kwargs)
-        values = list(table.values)
+        values = list(real(ell_, n_max, **kwargs).coeffs)
         values[i] += 1
-        return stats.StatTable(table.stat_id, table.params, tuple(values))
+        return TruncatedSeries(values)
 
     monkeypatch.setattr(stats, "mp_ell_table", corrupted)
     report = verify_gen17(k, ell, 30)
@@ -316,13 +313,9 @@ def corrupt_store_entry(monkeypatch, target, n):
             built = super()._build(name, args)
             if name != target or len(built) <= n:
                 return built
-            if name in stats.BASE_SERIES:
-                coeffs = list(built.coeffs)
-                coeffs[n] += 1
-                return TruncatedSeries(coeffs)
-            values = list(built.values)
-            values[n] += 1
-            return stats.StatTable(built.stat_id, built.params, tuple(values))
+            coeffs = list(built.coeffs)
+            coeffs[n] += 1
+            return TruncatedSeries(coeffs)
 
     monkeypatch.setattr(stats, "TableStore", CorruptingStore)
 
@@ -400,7 +393,7 @@ def count_table_builds(monkeypatch):
 
 def test_run_all_builds_each_table_once(monkeypatch):
     builds = count_table_builds(monkeypatch)
-    reports = run_all(RunConfig(n_max=60, k_range=(1, 5), threads=1))
+    reports = run_all(RunConfig(n_max=60, k_range=(1, 5)))
     assert all(r.passed for r in reports)
     repeated = {key: n for key, n in builds.items() if n > 1}
     assert repeated == {}
@@ -536,7 +529,7 @@ def test_colored_object_series_matches_its_convolution(n_max):
     gf = partition_gf(n_max)
     for k in range(1, 7):
         oracle = (geometric_kernel(k, n_max) * gf).coeffs
-        assert verify._colored_object_series(gf, k) == oracle, k
+        assert stats.k_weighted(gf, k).coeffs == oracle, k
 
 
 def test_table_store_builds_on_first_request_only(monkeypatch):
@@ -665,14 +658,6 @@ def test_run_all_selected_suite():
     assert reports[0].suite_id == "trunc"
 
 
-def test_run_all_thread_determinism():
-    cfg1 = RunConfig(n_max=30, enum_cap=15, threads=1)
-    cfg8 = RunConfig(n_max=30, enum_cap=15, threads=8)
-    assert reports_to_json(run_all(cfg1)).encode() == reports_to_json(
-        run_all(cfg8)
-    ).encode()
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n_max=-1).validate()
@@ -680,8 +665,6 @@ def test_config_validation():
         RunConfig(k_range=(0, 2)).validate()
     with pytest.raises(ValueError):
         RunConfig(n_max=2, k_range=(1, 5)).validate()
-    with pytest.raises(ValueError):
-        RunConfig(threads=0).validate()
 
 
 def test_run_config_defaults_are_the_verify_cli_defaults():
@@ -693,9 +676,7 @@ def test_run_config_defaults_are_the_verify_cli_defaults():
         config.ell_range,
         config.all_residues,
         config.enum_cap,
-        config.subset_cap,
-        config.threads,
-    ) == (60, (1, 4), (1, 3), True, 30, 12, 1)
+    ) == (60, (1, 4), (1, 3), True, 30)
 
 
 def test_report_jsonable_reads_the_report_and_case_fields():
