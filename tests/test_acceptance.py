@@ -175,4 +175,3 @@ def test_criterion_09_pentagonal_product_identity():
         "product form of (q;q)_inf equals the bilateral pentagonal series at order 400",
         euler_product(400) == pentagonal_series(400),
     )
-
