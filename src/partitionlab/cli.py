@@ -115,20 +115,6 @@ def render_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_table_csv(text):
-    """Inverse of render_table_csv: returns the list of values."""
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != "n,value":
-        raise ValueError("missing 'n,value' header")
-    values = []
-    for i, line in enumerate(lines[1:]):
-        n_str, v_str = line.split(",", 1)
-        if int(n_str) != i:
-            raise ValueError("non-contiguous n at row %d" % i)
-        values.append(int(v_str))
-    return values
-
-
 def _write_output(text, path):
     if path is None:
         sys.stdout.write(text)

@@ -12,12 +12,14 @@ M_ell has two builders, one route each, which share no algebra:
 m_ell_table sums the Gaussian-binomial series and reads no base series,
 and m_ell_table_pdiff multiplies the partition series by the pentagonal
 truncation.  The `m-routes` suite of `verify` compares the two; neither
-builder checks the other.  A builder called alone builds its
-base series itself.  A caller that builds many tables, such as one
-`verify` run or one `export` document, gives each builder the same
-TableStore through the keyword ``tables``; the store builds each table
-and each base series once, and serves every smaller order of a base
-series as its exact prefix.
+builder checks the other.  q2_mp_ell_table, Q(q^2) * MP_ell, is no
+statistic but the one dense product behind the truncated theta
+identity's remainder c_k * MP_ell for every k.  A builder called alone
+builds its base series itself.  A caller that builds many tables, such
+as one `verify` run or one `export` document, gives each builder the
+same TableStore through the keyword ``tables``; the store builds each
+table and each base series once, and serves every smaller order of a
+base series as its exact prefix.
 """
 
 from .series import (
@@ -245,6 +247,15 @@ def mp_ell_table(ell, n_max, *, tables=None):
     if bad is not None:
         raise ArithmeticError("MP_%d negative at n=%d" % (ell, bad))
     return TruncatedSeries(coeffs)
+
+
+def q2_mp_ell_table(ell, n_max, *, tables=None):
+    """Q(q^2) * MP_ell: times q^k/(1-q^k)^2 (k_weighted) it is
+    c_k * MP_ell, the remainder sum_j c_k(j) MP_ell(n - j) of the
+    truncated theta identity, so one dense product serves every k."""
+    if tables is None:
+        return q_squared_gf(n_max) * mp_ell_table(ell, n_max)
+    return tables.get("q_squared_gf", n_max) * tables.get("mp_ell_table", ell, n_max)
 
 
 def divisor_term(n, k):

@@ -1,9 +1,12 @@
 """Identity verification sweeps.
 
 Every theorem-level identity of the package is restated here as an
-executable check over a parameter grid, producing a VerificationReport
-with one IdentityCase per grid cell.  Failures are collected, never
-thrown: a failing identity is data (the counterexample), not an error.
+executable check over a parameter grid.  A suite yields one cell per
+grid point, a plain (identity_id, params, lhs, rhs) tuple, and _report
+alone judges each cell by its identity's relation, counting the cells
+and keeping an IdentityCase for each failing one in a
+VerificationReport.  Failures are collected, never thrown: a failing
+identity is data (the counterexample), not an error.
 
 All equalities are exact integer comparisons; there are no tolerances.
 """
@@ -101,34 +104,36 @@ class RunConfig(
         return self.n_max + ks[-1] + 1 if ks else self.n_max
 
 
-def _case(identity_id, params, lhs, rhs):
-    if IDENTITY_RELATIONS[identity_id] == NONNEGATIVE:
-        ok = lhs >= 0
-    else:
-        ok = lhs == rhs
-    return IdentityCase(identity_id, params, lhs, rhs, ok)
-
-
-def _report(suite_id, range_desc, cases):
-    """Run the cases (an iterable, usually a generator) into a report."""
-    cases = list(cases)
-    failures = [c for c in cases if not c.passed]
-    return VerificationReport(suite_id, range_desc, len(cases), failures)
+def _report(suite_id, range_desc, cells):
+    """Judge the cells (an iterable of (identity_id, params, lhs, rhs),
+    usually a generator) into a report: only a failing cell becomes an
+    IdentityCase."""
+    total = 0
+    failures = []
+    for identity_id, params, lhs, rhs in cells:
+        total += 1
+        if IDENTITY_RELATIONS[identity_id] == NONNEGATIVE:
+            ok = lhs >= 0
+        else:
+            ok = lhs == rhs
+        if not ok:
+            failures.append(IdentityCase(identity_id, params, lhs, rhs, False))
+    return VerificationReport(suite_id, range_desc, total, failures)
 
 
 def _run_suite(suite_id, config, tables=None):
     """One suite's report at config, reading tables (default: a fresh store)."""
-    cases, describe = SUITES[suite_id]
+    cells, describe = SUITES[suite_id]
     if tables is None:
         tables = stats.TableStore()
-    return _report(suite_id, describe(config), cases(tables, config))
+    return _report(suite_id, describe(config), cells(tables, config))
 
 
 # ---------------------------------------------------------------------------
 # generating functions vs. enumeration
 
 
-def _thmgf_cases(tables, config):
+def _thmgf_cells(tables, config):
     n_max = config.enum_n_max()
     ks = list(config.ks())
     if n_max < 1 or not ks:
@@ -136,19 +141,14 @@ def _thmgf_cases(tables, config):
     # one part-value DP pass, independent of the series, serves every cell
     A, B = enumeration.stat_sum_tables(n_max, max(ks))
     for k in ks:
-        b_tab = tables.get("b_k_table", k, n_max)
+        b = tables.get("b_k_table", k, n_max).coeffs
         p_top = k if config.all_residues else 1
-        a_tabs = [tables.get("a_kp_table", k, p, n_max) for p in range(p_top)]
+        a = [tables.get("a_kp_table", k, p, n_max).coeffs for p in range(p_top)]
         for n in range(1, n_max + 1):
-            yield _case("ThmGF-b", {"k": k, "n": n}, b_tab[n], B[k - 1][n])
-            yield _case("ThmGF-a", {"k": k, "n": n}, a_tabs[0][n], A[k - 1][0][n])
+            yield "ThmGF-b", {"k": k, "n": n}, b[n], B[k - 1][n]
+            yield "ThmGF-a", {"k": k, "n": n}, a[0][n], A[k - 1][0][n]
             for p in range(1, p_top):
-                yield _case(
-                    "ThmGF-ap",
-                    {"k": k, "p": p, "n": n},
-                    a_tabs[p][n],
-                    A[k - 1][p][n],
-                )
+                yield "ThmGF-ap", {"k": k, "p": p, "n": n}, a[p][n], A[k - 1][p][n]
 
 
 def verify_thmgf(n_max, k_max, all_residues=True):
@@ -161,26 +161,23 @@ def verify_thmgf(n_max, k_max, all_residues=True):
 # linear relations between a and b statistics
 
 
-def _thmcomb_cases(tables, config):
+def _thmcomb_cells(tables, config):
     n_max = config.n_max
     for k in config.ks():
         order = n_max + k + 1  # the shifted identity reads b_k(n + k - p)
         b_tab = tables.get("b_k_table", k, order)
-        a0_tab = tables.get("a_k_table", k, order)
+        b = b_tab.coeffs
+        a0 = tables.get("a_k_table", k, order).coeffs
         for n in range(1, n_max + 1):
-            yield _case(
-                "ThmComb-1", {"k": k, "n": n}, a0_tab[n], k * b_tab[n]
-            )
+            yield "ThmComb-1", {"k": k, "n": n}, a0[n], k * b[n]
         if not config.all_residues:
             continue
         for p in range(1, k):
-            ap_tab = tables.get("a_kp_table", k, p, order)
-            b_before = b_tab.shifted(p)  # b_k(n - p), 0 for n < p
+            ap = tables.get("a_kp_table", k, p, order).coeffs
+            b_before = b_tab.shifted(p).coeffs  # b_k(n - p), 0 for n < p
             for n in range(1, n_max + 1):
-                rhs = (k - p) * b_before[n] + p * b_tab[n + k - p]
-                yield _case(
-                    "ThmComb-2", {"k": k, "p": p, "n": n}, ap_tab[n], rhs
-                )
+                rhs = (k - p) * b_before[n] + p * b[n + k - p]
+                yield "ThmComb-2", {"k": k, "p": p, "n": n}, ap[n], rhs
 
 
 def verify_thmcomb(n_max, k_max, all_residues=True):
@@ -235,9 +232,10 @@ def _pentagonal_remainder(tables, k, ell, n_max):
 
 
 def _theta_remainder(tables, k, ell, n_max):
-    # sum_j c_k(j) MP_ell(n - j)
-    c_k = tables.get("c_k_table", k, n_max)
-    return (c_k * tables.get("mp_ell_table", ell, n_max)).coeffs
+    # sum_j c_k(j) MP_ell(n - j): c_k is Q(q^2) * q^k/(1 - q^k)^2, so this
+    # is the coefficient of q^n in (Q(q^2) MP_ell) * q^k/(1 - q^k)^2, one
+    # dense product per ell whatever the k
+    return stats.k_weighted(tables.get("q2_mp_ell_table", ell, n_max), k).coeffs
 
 
 PENTAGONAL = ThetaFamily(
@@ -265,21 +263,21 @@ TRIANGULAR_INDICATOR = TRIANGULAR._replace(
 TRIANGULAR_UNCORRECTED = TRIANGULAR._replace(sign=_alternating)
 
 
-def _infsum_cases(identity_id, family, tables, k, n_max):
+def _infsum_cells(identity_id, family, tables, k, n_max):
     infsum = family.bilateral_sum(tables, k, n_max)
     main = family.main(tables, k, n_max)
     for n in range(n_max + 1):
-        yield _case(identity_id, {"k": k, "n": n}, infsum[n], main[n])
+        yield identity_id, {"k": k, "n": n}, infsum[n], main[n]
 
 
-def _trunc_cases(tables, config):
+def _trunc_cells(tables, config):
     n_max = config.n_max
     for k in config.ks():
         for ell in config.ells():
             lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
             rhs = PENTAGONAL.remainder(tables, k, ell, n_max)
             for n in range(n_max + 1):
-                yield _case("Trunc-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n])
+                yield "Trunc-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n]
 
 
 def verify_trunc(k, ell, n_max):
@@ -288,14 +286,14 @@ def verify_trunc(k, ell, n_max):
     return _run_suite("trunc", RunConfig(n_max, (k, k), (ell, ell)))
 
 
-def _trunc_corollary_cases(tables, config):
+def _trunc_corollary_cells(tables, config):
     n_max = config.n_max
     for k in config.ks():
         for ell in config.ells():
             lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
             for n in range(n_max + 1):
-                yield _case("Trunc-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0)
-        yield from _infsum_cases("Trunc-infsum", PENTAGONAL, tables, k, n_max)
+                yield "Trunc-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0
+        yield from _infsum_cells("Trunc-infsum", PENTAGONAL, tables, k, n_max)
 
 
 def verify_trunc_corollaries(k, ell_max, n_max):
@@ -304,17 +302,17 @@ def verify_trunc_corollaries(k, ell_max, n_max):
     return _run_suite("trunc-corollaries", RunConfig(n_max, (k, k), (1, ell_max)))
 
 
-def _gen17_cases(tables, config, family=TRIANGULAR):
+def _gen17_cells(tables, config, family=TRIANGULAR):
     n_max = config.n_max
     for k in config.ks():
         # the bilateral cells are checked once per ell, after its own cells
-        infsum = list(_infsum_cases("Gen17-infsum", family, tables, k, n_max))
+        infsum = list(_infsum_cells("Gen17-infsum", family, tables, k, n_max))
         for ell in config.ells():
             rhs = family.remainder(tables, k, ell, n_max)
             lhs = family.lhs(tables, k, ell, n_max)
             for n in range(n_max + 1):
-                yield _case("Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n])
-                yield _case("Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0)
+                yield "Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n]
+                yield "Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0
             yield from infsum
 
 
@@ -332,7 +330,7 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
     return _report(
         "gen17",
         dict(_k_ell_range(config), indicator_form=indicator_form),
-        _gen17_cases(stats.TableStore(), config, family),
+        _gen17_cells(stats.TableStore(), config, family),
     )
 
 
@@ -341,7 +339,7 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
 
 
 def _bad_exponent_cells(tables, n_max, ell_max):
-    """The BadExponent cases of the k=2 theta identity evaluated with the
+    """The BadExponent cells of the k=2 theta identity evaluated with the
     wrong sign (-1)^j instead of (-1)^(j(j+1)/2), by increasing n, then
     increasing ell."""
     family, ells = TRIANGULAR_UNCORRECTED, range(1, ell_max + 1)
@@ -350,12 +348,12 @@ def _bad_exponent_cells(tables, n_max, ell_max):
     for n in range(1, n_max + 1):
         for ell in ells:
             params = {"k": 2, "ell": ell, "n": n}
-            yield _case("BadExponent", params, lhs[ell][n], rhs[ell][n])
+            yield "BadExponent", params, lhs[ell][n], rhs[ell][n]
 
 
 def _bad_exponent_witness(tables, n_max, ell_max):
-    cases = _bad_exponent_cells(tables, n_max, ell_max)
-    return next((c for c in cases if not c.passed), None)
+    cells = _bad_exponent_cells(tables, n_max, ell_max)
+    return _report("bad-exponent", None, cells).first_failure
 
 
 def find_bad_exponent_counterexample(n_max, ell_max=3):
@@ -391,18 +389,16 @@ def _bad_exponent_witness_range(config):
     return {"n_max": n_max, "k": [2, 2], "ell": [1, ell_top], "mode": "witness"}
 
 
-def _bad_exponent_witness_cases(tables, config):
+def _bad_exponent_witness_cells(tables, config):
     ell_top = _witness_ell_top(config)
     if ell_top is None:
         return
     witness = _bad_exponent_witness(tables, config.n_max, ell_top)
     if witness is None:
-        yield _case("BadExponent", {"witness_found": 0}, 0, 1)
+        yield "BadExponent", {"witness_found": 0}, 0, 1
     else:
         n, ell = witness.params["n"], witness.params["ell"]
-        yield _case(
-            "BadExponent", {"witness_found": 1, "n": n, "ell": ell}, 1, 1
-        )
+        yield "BadExponent", {"witness_found": 1, "n": n, "ell": ell}, 1, 1
 
 
 def bad_exponent_witness_report(n_max, ell_max=3):
@@ -416,7 +412,7 @@ def bad_exponent_witness_report(n_max, ell_max=3):
 # overpartition identities
 
 
-def _overpartition_cases(tables, config):
+def _overpartition_cells(tables, config):
     # P1 compares one walk over every partition with the part-value DP
     # stat_sum_tables, which walks no partition: two independent counts.
     # The suite runs its own DP pass, as thmgf does.  P2 builds its
@@ -430,12 +426,12 @@ def _overpartition_cases(tables, config):
     counts = enumeration.overpartition_counts(n_max, ks)
     gf = tables.get("partition_gf", n_max)
     for k in ks:
-        a_series = stats.k_weighted(gf, k)
+        a_series = stats.k_weighted(gf, k).coeffs
         overlined, colored = counts[k]
         for n in range(1, n_max + 1):
-            yield _case("P1", {"k": k, "n": n}, overlined[n], A[k - 1][0][n])
-            yield _case("P2", {"k": k, "n": n}, colored[n], a_series[n])
-            yield _case("P3", {"k": k, "n": n}, overlined[n], k * colored[n])
+            yield "P1", {"k": k, "n": n}, overlined[n], A[k - 1][0][n]
+            yield "P2", {"k": k, "n": n}, colored[n], a_series[n]
+            yield "P3", {"k": k, "n": n}, overlined[n], k * colored[n]
 
 
 def verify_overpartition_identities(k, n_max):
@@ -449,15 +445,15 @@ def verify_overpartition_identities(k, n_max):
 # M_ell evaluation-route agreement
 
 
-def _m_route_cases(tables, config):
+def _m_route_cells(tables, config):
     n_max = config.n_max
     for ell in config.ells():
         # the Gaussian-binomial sum, which reads no P, against the
         # pentagonal truncation times P
-        gaussian = tables.get("m_ell_table", ell, n_max)
-        pdiff = tables.get("m_ell_table_pdiff", ell, n_max)
+        gaussian = tables.get("m_ell_table", ell, n_max).coeffs
+        pdiff = tables.get("m_ell_table_pdiff", ell, n_max).coeffs
         for n in range(n_max + 1):
-            yield _case("PfT2", {"ell": ell, "n": n}, gaussian[n], pdiff[n])
+            yield "PfT2", {"ell": ell, "n": n}, gaussian[n], pdiff[n]
 
 
 def verify_m_routes(ell_max, n_max):
@@ -479,24 +475,25 @@ def _k_ell_range(config):
     return dict(_k_range(config, config.n_max), ell=list(config.ell_range))
 
 
-# suite id -> (cases, describe), in report order.  cases(tables, config)
-# yields the suite's IdentityCases, reading its tables from the run's
-# TableStore; describe(config) is the range its report records.
+# suite id -> (cells, describe), in report order.  cells(tables, config)
+# yields the suite's (identity_id, params, lhs, rhs) cells, reading its
+# tables from the run's TableStore; describe(config) is the range its
+# report records.
 SUITES = {
     "thmgf": (
-        _thmgf_cases,
+        _thmgf_cells,
         lambda c: dict(_k_range(c, c.enum_n_max()), all_residues=c.all_residues),
     ),
-    "thmcomb": (_thmcomb_cases, lambda c: _k_range(c, c.n_max)),
-    "trunc": (_trunc_cases, _k_ell_range),
-    "trunc-corollaries": (_trunc_corollary_cases, _k_ell_range),
-    "gen17": (_gen17_cases, _k_ell_range),
-    "overpartitions": (_overpartition_cases, lambda c: _k_range(c, c.enum_n_max())),
+    "thmcomb": (_thmcomb_cells, lambda c: _k_range(c, c.n_max)),
+    "trunc": (_trunc_cells, _k_ell_range),
+    "trunc-corollaries": (_trunc_corollary_cells, _k_ell_range),
+    "gen17": (_gen17_cells, _k_ell_range),
+    "overpartitions": (_overpartition_cells, lambda c: _k_range(c, c.enum_n_max())),
     "m-routes": (
-        _m_route_cases,
+        _m_route_cells,
         lambda c: {"n_max": c.n_max, "ell": list(c.ell_range)},
     ),
-    "bad-exponent": (_bad_exponent_witness_cases, _bad_exponent_witness_range),
+    "bad-exponent": (_bad_exponent_witness_cells, _bad_exponent_witness_range),
 }
 SUITE_ORDER = tuple(SUITES)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import partitionlab
+from oracles import parse_table_csv
 from partitionlab import cli, stats
 
 
@@ -67,7 +68,7 @@ def test_csub_runs_where_numpy_cannot_be_imported():
         "sys.exit(cli.main(['compute', 'csub', '--n-max', '20']))\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert cli.parse_table_csv(proc.stdout) == [
+    assert parse_table_csv(proc.stdout) == [
         0, 1, 3, 6, 11, 18, 28, 42, 61, 86, 119,
         162, 217, 287, 375, 485, 622, 791, 998, 1251, 1558,
     ]
@@ -145,7 +146,7 @@ def test_compute_out_file_and_csv_roundtrip(tmp_path, capsys):
     assert code == 0
     assert out == ""
     text = target.read_text(encoding="utf-8")
-    values = cli.parse_table_csv(text)
+    values = parse_table_csv(text)
     from partitionlab.stats import b_k_table
 
     assert values == list(b_k_table(2, 25).coeffs)

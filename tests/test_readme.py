@@ -1,0 +1,41 @@
+"""The README's Python examples run as written.
+
+Each ```python block that holds `>>>` lines is parsed as one doctest, so
+the closing fence is never read as expected output (as it is by a
+`python -m doctest README.md` run).  The blocks run in README order and
+share their globals, as one session reading the README top to bottom.
+"""
+
+import doctest
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```$", re.M | re.S)
+
+
+def readme_examples():
+    """(line number of the block's first line, 0-based; its text) for each
+    ```python block of the README that holds a `>>>` example."""
+    text = README.read_text(encoding="utf-8")
+    return [
+        (text.count("\n", 0, match.start(1)), match.group(1))
+        for match in PYTHON_BLOCK.finditer(text)
+        if ">>>" in match.group(1)
+    ]
+
+
+def test_readme_examples_run_as_written():
+    blocks = readme_examples()
+    assert len(blocks) >= 2
+    parser = doctest.DocTestParser()
+    runner = doctest.DocTestRunner(optionflags=doctest.NORMALIZE_WHITESPACE)
+    globs = {}
+    report = []
+    for lineno, block in blocks:
+        test = parser.get_doctest(block, globs, README.name, str(README), lineno)
+        runner.run(test, out=report.append, clear_globs=False)
+        globs = test.globs
+    results = runner.summarize(verbose=False)
+    assert results.attempted >= 10
+    assert results.failed == 0, "".join(report)

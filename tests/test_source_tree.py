@@ -116,10 +116,11 @@ def test_verify_builds_its_sums_apart_from_the_remainder_side():
             assert node.attr not in REMAINDER_SIDE_BUILDERS, where
 
 
-# the public functions of these modules are the series route; one that
-# nothing in the package calls is a test oracle and belongs in
+# the public functions of these modules are the series route and the
+# command line; one that nothing in the package calls is test-only code
+# (an oracle, or a reader of the CLI's output) and belongs in
 # tests/oracles.py
-ROUTE_MODULES = ("series.py", "kernels.py")
+ROUTE_MODULES = ("series.py", "kernels.py", "cli.py")
 # (module, function) -> why it stays in the package with no caller there
 NO_CALLER_KEPT = {
     ("kernels.py", "ab_stat_sums"): "perfbench/tracer.py wraps it by name",

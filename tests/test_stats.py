@@ -338,15 +338,16 @@ def test_gaussian_route_matches_its_dense_sum(n_max):
 
 # table builder -> (its parameters before n_max, the base series it reads)
 BUILDERS = {
-    "p_table": ((), "partition_gf"),
-    "q_table": ((), "distinct_parts_gf"),
-    "a_kp_table": ((3, 1), "partition_gf"),
-    "a_k_table": ((2,), "partition_gf"),
-    "b_k_table": ((2,), "partition_gf"),
-    "c_k_table": ((3,), "q_squared_gf"),
-    "m_ell_table": ((2,), None),  # the Gaussian sum reads no base series
-    "m_ell_table_pdiff": ((2,), "partition_gf"),
-    "mp_ell_table": ((1,), "mp_base_gf"),
+    "p_table": ((), ("partition_gf",)),
+    "q_table": ((), ("distinct_parts_gf",)),
+    "a_kp_table": ((3, 1), ("partition_gf",)),
+    "a_k_table": ((2,), ("partition_gf",)),
+    "b_k_table": ((2,), ("partition_gf",)),
+    "c_k_table": ((3,), ("q_squared_gf",)),
+    "m_ell_table": ((2,), ()),  # the Gaussian sum reads no base series
+    "m_ell_table_pdiff": ((2,), ("partition_gf",)),
+    "mp_ell_table": ((1,), ("mp_base_gf",)),
+    "q2_mp_ell_table": ((1,), ("q_squared_gf", "mp_base_gf")),
 }
 
 
@@ -358,22 +359,22 @@ def store_holding(name, series):
 
 
 def test_a_builder_reads_the_base_series_of_its_store():
-    # every builder given a store reads its base series there: a doctored
-    # entry shows in the table.  m_ell_table reads none, so a doctored P
-    # leaves it unchanged
+    # every builder given a store reads each of its base series there: a
+    # doctored entry shows in the table.  m_ell_table reads none, so a
+    # doctored P leaves it unchanged
     assert {name for name in dir(stats) if "_table" in name} == set(BUILDERS)
-    assert {base for _, base in BUILDERS.values()} - {None} == stats.BASE_SERIES
+    assert set().union(*(bases for _, bases in BUILDERS.values())) == stats.BASE_SERIES
     n_max = 40
-    for name, (head, base) in BUILDERS.items():
-        doctored_name = base or "partition_gf"
+    for name, (head, bases) in BUILDERS.items():
         build = getattr(stats, name)
-        series = getattr(stats, doctored_name)(n_max)
-        doctored = TruncatedSeries(
-            series.coeffs[:7] + (series[7] + 1,) + series.coeffs[8:]
-        )
-        tables = store_holding(doctored_name, doctored)
-        changed = build(*head, n_max, tables=tables) != build(*head, n_max)
-        assert changed == (base is not None), name
+        for doctored_name in bases or ("partition_gf",):
+            series = getattr(stats, doctored_name)(n_max)
+            doctored = TruncatedSeries(
+                series.coeffs[:7] + (series[7] + 1,) + series.coeffs[8:]
+            )
+            tables = store_holding(doctored_name, doctored)
+            changed = build(*head, n_max, tables=tables) != build(*head, n_max)
+            assert changed == bool(bases), (name, doctored_name)
 
 
 def test_a_builder_builds_the_same_table_with_a_store():
@@ -419,6 +420,7 @@ def test_a_negative_order_is_refused_with_a_store(name):
         partial(c_k_table, 2, -1),
         partial(m_ell_table, 2, -1),
         partial(mp_ell_table, 2, -1),
+        partial(stats.q2_mp_ell_table, 2, -1),
         partial(gaussian_binomial, 3, 1, -1),
         partial(enumeration.partition_count_table, -1),
     ],

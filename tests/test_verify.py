@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import geometric_kernel
+from oracles import geometric_kernel, theta_remainder
 from partitionlab import cli, enumeration, stats, verify
 from partitionlab.series import TruncatedSeries, partition_gf
 from partitionlab.verify import (
@@ -128,6 +128,17 @@ def test_gen17_spot_cell_3_1_9():
     lhs = b3[9] - b3[8] - c3[9]
     rhs = sum(c3[j] * mp1[9 - j] for j in range(10))
     assert lhs == rhs == 4
+
+
+@pytest.mark.parametrize("n_max", [60, 240])
+def test_theta_remainder_matches_its_dense_sum(n_max):
+    # the remainder regrouped as (Q(q^2) MP_ell) * q^k/(1-q^k)^2, one dense
+    # product per ell, against sum_j c_k(j) MP_ell(n - j) term by term
+    tables = stats.TableStore()
+    for k in range(1, 6):
+        for ell in range(1, 4):
+            remainder = verify.TRIANGULAR.remainder(tables, k, ell, n_max)
+            assert remainder == theta_remainder(k, ell, n_max).coeffs, (k, ell)
 
 
 def test_gen17_displayed_indicator_variant_fails_for_k3():
@@ -346,7 +357,7 @@ CORRUPTED_ENTRIES = [5, 45]
 def test_expected_misses_are_cases_of_the_matrix():
     cases = {(name, n) for name in STORE_NAMES for n in CORRUPTED_ENTRIES}
     assert EXPECTED_MISSES <= cases
-    assert "m_ell_table_pdiff" in STORE_NAMES
+    assert {"m_ell_table_pdiff", "q2_mp_ell_table"} <= set(STORE_NAMES)
 
 
 @pytest.mark.parametrize("n", CORRUPTED_ENTRIES)
@@ -358,6 +369,37 @@ def test_a_corrupted_store_entry_fails_a_cell(monkeypatch, name, n):
     except ArithmeticError:
         failed = 0
     assert (failed == 0) == ((name, n) in EXPECTED_MISSES), failed
+
+
+# sha256 of `verify all --format json` with one store entry corrupted,
+# captured while every cell was still an IdentityCase: the order, params
+# and sides of every failure, which the all-pass goldens cannot see.  A
+# wrong P fails cells of every suite that reads it, a wrong MP_ell only
+# through the theta remainder
+FAILING_RUN_GOLDENS = [
+    pytest.param(
+        "partition_gf",
+        5,
+        "57cf8c99cabf0ae1ca6092dc98ec320f83d9017449e9c25bfbe32c2117828980",
+        id="partition_gf-5",
+    ),
+    pytest.param(
+        "mp_ell_table",
+        45,
+        "a00f5a8aa7db8052336eeaf0b855bdec4b4cd86ca8c2c0644613170e972747df",
+        id="mp_ell_table-45",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,n,digest", FAILING_RUN_GOLDENS)
+def test_verify_all_with_a_corrupted_store_entry_is_golden(
+    monkeypatch, capsys, name, n, digest
+):
+    corrupt_store_entry(monkeypatch, name, n)
+    assert cli.main(["verify", "all", "--format", "json"]) == cli.EXIT_FAILURES
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_all_with_a_corrupted_partition_series_exits_1(monkeypatch, capsys):
@@ -401,6 +443,68 @@ def test_run_all_builds_each_table_once(monkeypatch):
     assert m_builds == [(1, 60), (2, 60), (3, 60)]
     # the suites that read b_k share its table at n_max
     assert builds[("b_k_table", (3, 60))] == 1
+    # gen17 and bad-exponent share one Q(q^2) * MP_ell product per ell
+    q2_builds = sorted(args for (name, args) in builds if name == "q2_mp_ell_table")
+    assert q2_builds == [(1, 60), (2, 60), (3, 60)]
+
+
+class Unmultiplied(TruncatedSeries):
+    """A series that refuses to be a factor of a dense product."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        raise AssertionError("a c_k table is a factor of a dense product")
+
+    __rmul__ = __mul__
+
+
+def test_no_suite_multiplies_c_k(monkeypatch):
+    # the theta remainder reads c_k * MP_ell as k_weighted(Q(q^2) MP_ell),
+    # so no c_k table enters a product, on either side
+    real = stats.c_k_table
+
+    def unmultiplied(*args, **kwargs):
+        return Unmultiplied(real(*args, **kwargs).coeffs)
+
+    monkeypatch.setattr(stats, "c_k_table", unmultiplied)
+    reports = run_all(RunConfig(n_max=60, k_range=(1, 5)))
+    assert all(r.passed for r in reports)
+    assert not uncorrected_exponent_report(30, 3).passed
+    assert not verify_gen17(3, 1, 12, indicator_form=True).passed
+
+
+def count_identity_cases(monkeypatch):
+    """Count every IdentityCase that verify builds."""
+    made = Counter()
+
+    class Counted(verify.IdentityCase):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            made[args[0]] += 1
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(verify, "IdentityCase", Counted)
+    return made
+
+
+def test_only_a_failing_cell_becomes_an_identity_case(monkeypatch):
+    made = count_identity_cases(monkeypatch)
+    config = RunConfig(n_max=30, enum_cap=12)
+    # bad-exponent judges the raw cells of the uncorrected sign, which
+    # fail by design, to find its witness
+    suites = set(verify.SUITE_ORDER) - {"bad-exponent"}
+    assert all(r.passed for r in run_all(config, suites))
+    assert made == Counter()
+    raw = uncorrected_exponent_report(30, 3)
+    assert made == Counter(BadExponent=len(raw.failures)) != Counter()
+    made.clear()
+    corrupt_b_tables(monkeypatch)
+    reports = run_all(config, suites)
+    failures = Counter(c.identity_id for r in reports for c in r.failures)
+    assert failures and made == failures
+    assert all(not c.passed for r in reports for c in r.failures)
 
 
 def test_store_serves_every_suite_that_reads_b(monkeypatch):
