@@ -40,8 +40,8 @@ TABLES = {
 }
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Invalid usage; main maps it, as every ValueError, to exit 2."""
 
 
 def parse_range(text):
@@ -166,10 +166,7 @@ def _build_config(args):
         all_residues=not args.p_zero_only,
         enum_cap=args.enum_cap,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config.validate()
     return config
 
 
@@ -302,9 +299,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

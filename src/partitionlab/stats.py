@@ -14,12 +14,13 @@ and m_ell_table_pdiff multiplies the partition series by the pentagonal
 truncation.  The `m-routes` suite of `verify` compares the two; neither
 builder checks the other.  q2_mp_ell_table, Q(q^2) * MP_ell, is no
 statistic but the one dense product behind the truncated theta
-identity's remainder c_k * MP_ell for every k.  A builder called alone
-builds its base series itself.  A caller that builds many tables, such
-as one `verify` run or one `export` document, gives each builder the
-same TableStore through the keyword ``tables``; the store builds each
-table and each base series once, and serves every smaller order of a
-base series as its exact prefix.
+identity's remainder c_k * MP_ell for every k.  Every builder reads
+its base series through a TableStore: a builder called alone makes one
+of its own.  A caller that builds many tables, such as one `verify` run
+or one `export` document, gives each builder the same store through the
+keyword ``tables``; the store builds each table and each base series
+once, and serves every smaller order of a base series as its exact
+prefix.
 """
 
 from .series import (
@@ -32,10 +33,25 @@ from .series import (
     triangular_number,
 )
 
+def q_squared_gf(n_max):
+    """Q(q^2) = (-q^2;q^2)_inf, the base series of c_k."""
+    return product(1, 2, 2, n_max)
+
+
+def mp_base_gf(n_max):
+    """(-q;q^2)_inf/(q^2;q^2)_inf, the base series of MP_ell: the product of
+    the odd factors, then one O(n) division per even factor."""
+    base = product(1, 1, 2, n_max)
+    for e in range(2, n_max + 1, 2):
+        base = base.div_binomial(-1, e)
+    return base
+
+
 # the names of the base series builders that the table builders read;
 # TableStore serves a smaller order of each as a prefix
 BASE_SERIES = frozenset(
-    ("partition_gf", "q_squared_gf", "mp_base_gf", "distinct_parts_gf")
+    build.__name__
+    for build in (partition_gf, q_squared_gf, mp_base_gf, distinct_parts_gf)
 )
 
 
@@ -51,7 +67,8 @@ class TableStore:
     So a store given the largest order its run reads builds each base
     series once.  Builders are looked up in this module at call time, so
     a patched or traced replacement is the one that runs.  Each run makes
-    its own store, so nothing outlives the run.
+    its own store, so nothing outlives the run; a builder called without
+    one reads its base series through a store of its own.
     """
 
     def __init__(self, series_order=0):
@@ -77,18 +94,9 @@ class TableStore:
         return build(order)
 
 
-def q_squared_gf(n_max):
-    """Q(q^2) = (-q^2;q^2)_inf, the base series of c_k."""
-    return product(1, 2, 2, n_max)
-
-
-def mp_base_gf(n_max):
-    """(-q;q^2)_inf/(q^2;q^2)_inf, the base series of MP_ell: the product of
-    the odd factors, then one O(n) division per even factor."""
-    base = product(1, 1, 2, n_max)
-    for e in range(2, n_max + 1, 2):
-        base = base.div_binomial(-1, e)
-    return base
+def _store(tables):
+    # the caller's store, or a store of the builder's own when called alone
+    return TableStore() if tables is None else tables
 
 
 def k_weighted(series, k):
@@ -99,14 +107,12 @@ def k_weighted(series, k):
 
 def p_table(n_max, *, tables=None):
     """p(n): number of partitions of n."""
-    return partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
+    return _store(tables).get("partition_gf", n_max)
 
 
 def q_table(n_max, *, tables=None):
     """Q(n): number of partitions of n into distinct parts."""
-    if tables is None:
-        return distinct_parts_gf(n_max)
-    return tables.get("distinct_parts_gf", n_max)
+    return _store(tables).get("distinct_parts_gf", n_max)
 
 
 def b_k_table(k, n_max, *, tables=None):
@@ -117,8 +123,7 @@ def b_k_table(k, n_max, *, tables=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
-    return k_weighted(gf, k)
+    return k_weighted(_store(tables).get("partition_gf", n_max), k)
 
 
 def a_kp_table(k, p, n_max, *, tables=None):
@@ -133,13 +138,8 @@ def a_kp_table(k, p, n_max, *, tables=None):
         raise ValueError("need 0 <= p < k")
     # the numerator is two monomials, so it scales two shifted copies of
     # the partition series, and the denominator is two O(n) divisions
-    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
-    numerator = TruncatedSeries(
-        [
-            p * x + (k - p) * y
-            for x, y in zip(gf.shifted(p).coeffs, gf.shifted(p + k).coeffs)
-        ]
-    )
+    gf = _store(tables).get("partition_gf", n_max)
+    numerator = gf.shift_sum(((p, p), (p + k, k - p)))
     return numerator.div_binomial(-1, k).div_binomial(-1, k)
 
 
@@ -157,10 +157,7 @@ def c_k_table(k, n_max, *, tables=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q_squared = (
-        q_squared_gf(n_max) if tables is None else tables.get("q_squared_gf", n_max)
-    )
-    return k_weighted(q_squared, k)
+    return k_weighted(_store(tables).get("q_squared_gf", n_max), k)
 
 
 def _m_ell_from_gaussian(ell, n_max):
@@ -208,6 +205,15 @@ def m_ell_table(ell, n_max, *, tables=None):
     return TruncatedSeries(values)
 
 
+def _signed_truncation(base, truncation, ell):
+    # the coefficients of (-1)^(ell-1) * (base * truncation - 1), where
+    # the truncated pentagonal or theta sum has 2*ell terms
+    sign = -1 if ell % 2 == 0 else 1
+    coeffs = [sign * c for c in base.mul_sparse(truncation).coeffs]
+    coeffs[0] -= sign
+    return coeffs
+
+
 def m_ell_table_pdiff(ell, n_max, *, tables=None):
     """M_ell via partition-count differences:
     (-1)^(ell-1) sum_{j=0..ell-1} (-1)^j (p(n - j(3j+1)/2) - p(n - (j+1)(3j+2)/2)),
@@ -217,12 +223,8 @@ def m_ell_table_pdiff(ell, n_max, *, tables=None):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    gf = partition_gf(n_max) if tables is None else tables.get("partition_gf", n_max)
-    series = gf.mul_sparse(pentagonal_series(n_max, ell))
-    sign = -1 if ell % 2 == 0 else 1
-    coeffs = [sign * c for c in series.coeffs]
-    coeffs[0] -= sign
-    return TruncatedSeries(coeffs)
+    gf = _store(tables).get("partition_gf", n_max)
+    return TruncatedSeries(_signed_truncation(gf, pentagonal_series(n_max, ell), ell))
 
 
 def mp_ell_table(ell, n_max, *, tables=None):
@@ -235,12 +237,8 @@ def mp_ell_table(ell, n_max, *, tables=None):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    # theta_ell has 2*ell terms
-    base = mp_base_gf(n_max) if tables is None else tables.get("mp_base_gf", n_max)
-    series = base.mul_sparse(theta_truncated(ell, n_max))
-    sign = -1 if ell % 2 == 0 else 1
-    coeffs = [sign * c for c in series.coeffs]
-    coeffs[0] -= sign
+    base = _store(tables).get("mp_base_gf", n_max)
+    coeffs = _signed_truncation(base, theta_truncated(ell, n_max), ell)
     if coeffs[0] != 0:
         raise ArithmeticError("MP_%d has a nonzero constant term" % ell)
     bad = next((n for n, v in enumerate(coeffs) if v < 0), None)
@@ -253,8 +251,7 @@ def q2_mp_ell_table(ell, n_max, *, tables=None):
     """Q(q^2) * MP_ell: times q^k/(1-q^k)^2 (k_weighted) it is
     c_k * MP_ell, the remainder sum_j c_k(j) MP_ell(n - j) of the
     truncated theta identity, so one dense product serves every k."""
-    if tables is None:
-        return q_squared_gf(n_max) * mp_ell_table(ell, n_max)
+    tables = _store(tables)
     return tables.get("q_squared_gf", n_max) * tables.get("mp_ell_table", ell, n_max)
 
 

@@ -122,10 +122,11 @@ def _report(suite_id, range_desc, cells):
 
 
 def _run_suite(suite_id, config, tables=None):
-    """One suite's report at config, reading tables (default: a fresh store)."""
+    """One suite's report at config, reading tables (default: a store of
+    its own at config.series_order(), so it builds each base series once)."""
     cells, describe = SUITES[suite_id]
     if tables is None:
-        tables = stats.TableStore()
+        tables = stats.TableStore(config.series_order())
     return _report(suite_id, describe(config), cells(tables, config))
 
 

@@ -387,6 +387,25 @@ def test_a_builder_builds_the_same_table_with_a_store():
             assert build(*head, n_max, tables=tables) == build(*head, n_max), name
 
 
+@pytest.mark.parametrize("name", BUILDERS)
+def test_a_builder_called_alone_reads_its_base_series_through_a_store(
+    monkeypatch, name
+):
+    # the one input path: called with no store, a builder asks a store of
+    # its own for each of its base series, and m_ell_table asks for none
+    asked = set()
+    real_get = stats.TableStore.get
+
+    def spying_get(self, entry, *args):
+        asked.add(entry)
+        return real_get(self, entry, *args)
+
+    monkeypatch.setattr(stats.TableStore, "get", spying_get)
+    head, bases = BUILDERS[name]
+    getattr(stats, name)(*head, 30)
+    assert asked & stats.BASE_SERIES == set(bases)
+
+
 @pytest.mark.parametrize("name", sorted(stats.BASE_SERIES | set(BUILDERS)))
 def test_every_store_entry_is_a_truncated_series(name):
     # base series and tables alike, built at its order or served as a prefix

@@ -580,6 +580,14 @@ def test_run_all_builds_the_partition_series_once_per_order(monkeypatch):
     assert builds == Counter({246: 1})
 
 
+def test_a_single_suite_builds_the_partition_series_once(monkeypatch):
+    # a single-suite entry point reads k = 1..4 at orders 62..65 and builds
+    # P once, at the largest, serving the others as prefixes
+    builds = count_partition_series_builds(monkeypatch)
+    assert verify_thmcomb(60, 4).passed
+    assert builds == Counter({65: 1})
+
+
 def test_run_all_builds_the_c_and_mp_bases_once(monkeypatch):
     # Q(q^2), read by every c_k, and the MP base, read by every MP_ell,
     # are built once per run, as P is, at the largest order any suite
