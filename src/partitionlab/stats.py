@@ -33,6 +33,7 @@ from .series import (
     triangular_number,
 )
 
+
 def q_squared_gf(n_max):
     """Q(q^2) = (-q^2;q^2)_inf, the base series of c_k."""
     return product(1, 2, 2, n_max)

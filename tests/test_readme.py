@@ -67,7 +67,10 @@ def test_readme_has_command_examples():
 
 @pytest.mark.parametrize(
     "argv, comment",
-    [pytest.param(argv, comment, id=" ".join(argv)) for argv, comment in readme_commands()],
+    [
+        pytest.param(argv, comment, id=" ".join(argv))
+        for argv, comment in readme_commands()
+    ],
 )
 def test_readme_command_runs_as_written(argv, comment, tmp_path, monkeypatch, capsys):
     # inside tmp_path, so that an --out file lands there
