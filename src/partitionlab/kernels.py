@@ -1,8 +1,10 @@
 """The inner loops of the series route, in pure Python.
 
-`convolve` (truncated big-integer Cauchy product) and `invert_unit`
-(series inversion) carry every `TruncatedSeries` multiplication and
-inverse.  `convolve` is a row-dot kernel: each output coefficient is
+`convolve` (truncated big-integer Cauchy product) carries every
+`TruncatedSeries` product of two factors with two or more nonzero
+coefficients each; a product with a monomial factor is a shift and
+scale in `series` and never reaches it.  `invert_unit` (series
+inversion) carries every inverse.  `convolve` is a row-dot kernel: each output coefficient is
 one dot product that `sum(map(mul, ...))` evaluates in C, so the
 interpreter runs one loop step per coefficient, not one per term.
 The third kernel, the partition sweep `ab_stat_sums` that accumulates

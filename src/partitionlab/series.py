@@ -101,8 +101,17 @@ class TruncatedSeries:
         return TruncatedSeries([-x for x in self._coeffs])
 
     def __mul__(self, other):
+        """Truncated product.  A factor with at most one nonzero
+        coefficient is a monomial, so the product is one O(order) shift
+        and scale of the other factor (mul_sparse); only two factors
+        with two or more nonzeros each go through kernels.convolve."""
         self._check_order(other)
-        return TruncatedSeries(kernels.convolve(self._coeffs, other._coeffs))
+        a, b = self._coeffs, other._coeffs
+        if b.count(0) >= len(b) - 1:
+            return self.mul_sparse(other)
+        if a.count(0) >= len(a) - 1:
+            return other.mul_sparse(self)
+        return TruncatedSeries(kernels.convolve(a, b))
 
     def invert(self):
         """Series inverse; requires constant term +1 or -1."""
@@ -133,7 +142,9 @@ class TruncatedSeries:
 
     def mul_sparse(self, other):
         """self * other in O(order) per nonzero coefficient of other, for
-        a short factor such as a truncated pentagonal or theta sum."""
+        a short factor such as a truncated pentagonal or theta sum; the
+        product operator takes this path when either factor is a
+        monomial."""
         self._check_order(other)
         return self.shift_sum((e, c) for e, c in enumerate(other._coeffs) if c)
 

@@ -76,18 +76,19 @@ class RunConfig(
     __slots__ = ()
 
     def validate(self, suites=None):
-        """Raise ValueError on a config that no run can use.  n_max must
-        reach the largest k only if a suite in suites (default: every
-        suite) reads k."""
+        """Raise ValueError on a config that no run can use.  An empty k
+        or ell range holds no value to check.  n_max must reach the
+        largest k only if a suite in suites (default: every suite) reads
+        k."""
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.k_range[0] < 1:
+        if self.ks() and self.k_range[0] < 1:
             raise ValueError("k values must be >= 1")
-        if self.ell_range[0] < 1:
+        if self.ells() and self.ell_range[0] < 1:
             raise ValueError("ell values must be >= 1")
         if self.enum_cap < 0:
             raise ValueError("enum_cap must be >= 0")
-        if self.k_range[0] <= self.k_range[1] and self.n_max < self.k_range[1]:
+        if self.ks() and self.n_max < self.k_range[1]:
             if suites is None or not _K_FREE_SUITES.issuperset(suites):
                 raise ValueError("n_max must be >= the largest k")
 
