@@ -4,9 +4,10 @@
 `TruncatedSeries` product of two factors with two or more nonzero
 coefficients each; a product with a monomial factor is a shift and
 scale in `series` and never reaches it.  `invert_unit` (series
-inversion) carries every inverse.  `convolve` is a row-dot kernel: each output coefficient is
-one dot product that `sum(map(mul, ...))` evaluates in C, so the
-interpreter runs one loop step per coefficient, not one per term.
+inversion) carries every inverse.  `convolve` is a row-dot kernel:
+each output coefficient is one dot product that `sum(map(mul, ...))`
+evaluates in C, so the interpreter runs one loop step per
+coefficient, not one per term.
 The third kernel, the partition sweep `ab_stat_sums` that accumulates
 the a/b statistics, no longer runs in the package; it is the test
 oracle of `enumeration.stat_sum_tables`.

@@ -300,6 +300,14 @@ def test_verify_suite_that_reads_no_k_ignores_the_k_range(capsys, suite, n_max):
     assert out.endswith("PASS\n")
 
 
+@pytest.mark.parametrize("flag", ["--k", "--ell"])
+def test_verify_empty_range_below_one_exit_0(capsys, flag):
+    # an empty range holds no value to check, whatever its lower end
+    code, out, err = run_cli(capsys, "verify", "all", flag, "0..-1")
+    assert (code, err) == (0, "")
+    assert out.endswith("PASS\n")
+
+
 def test_verify_bad_range_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "all", "--n-max", "2", "--k", "1..5")
     assert code == 2
@@ -462,6 +470,12 @@ def sha256_of_output(capsys, *argv):
             ["--n-max", "60", "--k", "1..6", "--enum-cap", "45"],
             "dc4a0e7fff692955c3d9e32d6f471aac3892ead27aaa90d38076fefb387a7dfe",
             id="enum-cap-45",
+        ),
+        # the large config of the ROADMAP's north star
+        pytest.param(
+            ["--n-max", "240", "--enum-cap", "40", "--k", "1..5"],
+            "e64044c5714d7e3f76005e44d6b30b6dc04585c2eb96378141e23005d30fe2b7",
+            id="large",
         ),
     ],
 )

@@ -50,6 +50,18 @@ def test_div_binomial_undoes_mul_binomial(coeffs, sign, exponent):
     assert s.mul_binomial(sign, exponent).div_binomial(sign, exponent) == s
 
 
+@settings(max_examples=60, deadline=None)
+@given(coeffs=same_length_lists(1), c=coefficient, data=st.data())
+def test_a_product_with_a_monomial_is_the_naive_product(coeffs, c, data):
+    # c = 0 gives the zero series, and e = order + 1 a monomial past the order
+    s = TruncatedSeries(coeffs[0])
+    e = data.draw(st.integers(0, s.order + 1))
+    monomial = TruncatedSeries.monomial(c, e, s.order)
+    expected = naive_convolve(s.coeffs, monomial.coeffs)
+    assert list((s * monomial).coeffs) == expected
+    assert list((monomial * s).coeffs) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(lists=same_length_lists(3))
 def test_series_ring_laws(lists):

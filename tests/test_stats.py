@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from oracles import gaussian_binomial, geometric_kernel
-from partitionlab import enumeration, stats
+from partitionlab import enumeration, kernels, stats
 from partitionlab.series import (
     TruncatedSeries,
     partition_gf,
@@ -222,6 +222,22 @@ def test_m_two_routes_agree():
         gaussian = m_ell_table(ell, 120)  # the Gaussian-binomial sum
         pdiff = m_ell_table_pdiff(ell, 120)  # the pentagonal truncation times P
         assert gaussian.coeffs == pdiff.coeffs
+
+
+@pytest.mark.parametrize("ell, calls", [(1, 0), (2, 17), (3, 11)])
+def test_m_table_convolves_no_monomial_factor(monkeypatch, ell, calls):
+    # the Gaussian binomial is 1 in every term of M_1 and in the first
+    # term of every M_ell, so those products are shifts
+    convolve = kernels.convolve
+    seen = []
+
+    def counting(a, b):
+        seen.append(len(a))
+        return convolve(a, b)
+
+    monkeypatch.setattr(kernels, "convolve", counting)
+    m_ell_table(ell, 60)
+    assert len(seen) == calls
 
 
 def test_m_table_rejects_bad_ell():
