@@ -12,7 +12,6 @@ constant term).  Identical invocations produce byte-identical output.
 """
 
 import argparse
-import json
 import sys
 
 from . import stats, verify
@@ -111,10 +110,6 @@ def table_jsonable(stat, params, series):
     }
 
 
-def render_json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _write_output(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -131,26 +126,30 @@ def cmd_compute(args):
     if args.format == "csv":
         text = render_table_csv(series)
     elif args.format == "json":
-        text = render_json(table_jsonable(args.stat, params, series))
+        text = verify.canonical_json(table_jsonable(args.stat, params, series))
     else:
         text = render_table_text(series)
     _write_output(text, args.out)
     return EXIT_OK
 
 
-def render_reports_text(reports, max_failures=20):
+# the failing cells that the text report prints per suite
+MAX_FAILURES_SHOWN = 20
+
+
+def render_reports_text(reports):
     # no wall-clock column: identical invocations print identical text
     lines = ["%-20s %8s %8s" % ("suite", "total", "failed")]
     for r in reports:
         lines.append("%-20s %8d %8d" % (r.suite_id, r.total, len(r.failures)))
     for r in reports:
-        for case in r.failures[:max_failures]:
+        for case in r.failures[:MAX_FAILURES_SHOWN]:
             params = " ".join("%s=%s" % kv for kv in case.params.items())
             lines.append(
                 "FAIL %s [%s] %s: lhs=%d rhs=%d"
                 % (r.suite_id, case.identity_id, params, case.lhs, case.rhs)
             )
-        extra = len(r.failures) - max_failures
+        extra = len(r.failures) - MAX_FAILURES_SHOWN
         if extra > 0:
             lines.append("... and %d more failures in %s" % (extra, r.suite_id))
     status = "PASS" if all(r.passed for r in reports) else "FAIL"
@@ -242,7 +241,7 @@ def cmd_export(args):
     # render once every table is built: rendering each entry between
     # builds made the n = 500 export about 4% slower end to end
     payload = {key: table_jsonable(*entry) for key, entry in doc.items()}
-    _write_output(render_json(payload), args.out)
+    _write_output(verify.canonical_json(payload), args.out)
     return EXIT_OK
 
 
@@ -267,10 +266,14 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
-    p_verify.add_argument("--n-max", type=int, default=60, dest="n_max")
-    p_verify.add_argument("--k", default="1..4")
-    p_verify.add_argument("--ell", default="1..3")
-    p_verify.add_argument("--enum-cap", type=int, default=30, dest="enum_cap")
+    # the defaults of a run are RunConfig's
+    config = verify.RunConfig()
+    p_verify.add_argument("--n-max", type=int, default=config.n_max, dest="n_max")
+    p_verify.add_argument("--k", default="%d..%d" % config.k_range)
+    p_verify.add_argument("--ell", default="%d..%d" % config.ell_range)
+    p_verify.add_argument(
+        "--enum-cap", type=int, default=config.enum_cap, dest="enum_cap"
+    )
     p_verify.add_argument(
         "--p-zero-only",
         action="store_true",

@@ -18,8 +18,10 @@ integers; the empty tuple is the single partition of 0.  `partitions`
 walks them with the ZS1 generator of Zoghbi & Stojmenovic, in constant
 amortized time per partition besides the copy of each yielded tuple.
 
-The statistics are capped (PARTITION_SWEEP_CAP / SUBSET_SWEEP_CAP) so
-the oracle suite stays fast; pass an explicit `cap` to go further.
+The walks over partitions (`m_ell`, `q_distinct`, `mp_ell`,
+`mp_ell_verbal`) stop at n = PARTITION_SWEEP_CAP and the subset count
+`c_subsets` at n = SUBSET_SWEEP_CAP, so the oracle suite stays fast; the
+a/b lookups walk no partition and have no cap.
 """
 
 from collections import namedtuple
@@ -30,12 +32,10 @@ PARTITION_SWEEP_CAP = 60
 SUBSET_SWEEP_CAP = 25
 
 
-def partitions(n, max_part=None):
+def partitions(n):
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
     For n=5: (5,), (4,1), (3,2), (3,1,1), (2,2,1), (2,1,1,1), (1,1,1,1,1).
-    With max_part set, only partitions whose largest part is <= max_part
-    are produced (same order).
 
     This is ZS1 (Zoghbi & Stojmenovic, "Fast algorithms for generating
     integer partitions", Int. J. Comput. Math. 70, 1998): one mutable
@@ -49,19 +49,9 @@ def partitions(n, max_part=None):
     if n == 0:
         yield ()
         return
-    cap = n if max_part is None or max_part > n else max_part
-    if cap < 1:
-        return
-    full, rem = divmod(n, cap)
-    x = [cap] * full + [1] * (n - full)
-    m = full  # number of parts
-    if rem:
-        x[m] = rem
-        m += 1
-    if cap == 1:
-        h = -1
-    else:
-        h = full if rem > 1 else full - 1
+    x = [n] + [1] * (n - 1)
+    m = 1  # number of parts
+    h = 0 if n > 1 else -1
     yield tuple(x[:m])
     while h >= 0:
         if x[h] == 2:
@@ -121,11 +111,12 @@ def partition_count_table(n_max):
     return p
 
 
-def _check_sweep(n, cap):
-    """Raise when n exceeds the enumeration cap in force."""
-    limit = PARTITION_SWEEP_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError("n=%d exceeds the enumeration cap %d" % (n, limit))
+def _check_sweep(n):
+    """Raise when n exceeds the cap of the walks over partitions."""
+    if n > PARTITION_SWEEP_CAP:
+        raise ValueError(
+            "n=%d exceeds the enumeration cap %d" % (n, PARTITION_SWEEP_CAP)
+        )
 
 
 def stat_sum_tables(n_max, k_max):
@@ -174,7 +165,7 @@ def _add_scaled(row, v, count, shift):
 warm_statistics_cache = stat_sum_tables
 
 
-def a_kp(n, k, p, cap=None):
+def a_kp(n, k, p):
     """Total over all partitions of n of the distinct part values = p (mod k).
 
     Each qualifying value contributes once per partition no matter how
@@ -186,27 +177,25 @@ def a_kp(n, k, p, cap=None):
         raise ValueError("k must be >= 1")
     if not 0 <= p < k:
         raise ValueError("need 0 <= p < k")
-    _check_sweep(n, cap)
     return stat_sum_tables(n, k)[0][k - 1][p][n]
 
 
-def a_k(n, k, cap=None):
+def a_k(n, k):
     """Total over all partitions of n of the distinct part values divisible by k."""
-    return a_kp(n, k, 0, cap)
+    return a_kp(n, k, 0)
 
 
-def b_k(n, k, cap=None):
+def b_k(n, k):
     """Total over all partitions of n of the distinct part values with
     multiplicity >= k.  One stat_sum_tables pass per call."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_sweep(n, cap)
     return stat_sum_tables(n, k)[1][k - 1][n]
 
 
-def m_ell(n, ell, cap=None):
+def m_ell(n, ell):
     """Count partitions of n where ell is the least positive non-part and
     parts greater than ell outnumber parts less than ell.
 
@@ -216,7 +205,7 @@ def m_ell(n, ell, cap=None):
         raise ValueError("n must be >= 0")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    _check_sweep(n, cap)
+    _check_sweep(n)
     count = 0
     for parts in partitions(n):
         values = set(parts)
@@ -231,15 +220,15 @@ def m_ell(n, ell, cap=None):
     return count
 
 
-def q_distinct(n, cap=None):
+def q_distinct(n):
     """Number of partitions of n into distinct parts; 1 for n=0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_sweep(n, cap)
+    _check_sweep(n)
     return sum(1 for parts in partitions(n) if len(set(parts)) == len(parts))
 
 
-def c_subsets(n, cap=None):
+def c_subsets(n):
     """Count subsets of {1..n} containing an element greater than the sum
     of the other elements (singletons qualify).
 
@@ -248,9 +237,10 @@ def c_subsets(n, cap=None):
     depth-first walk counts those one by one, extending a subset only
     while its sum stays below m, so its cost grows with the count itself.
     """
-    limit = SUBSET_SWEEP_CAP if cap is None else cap
-    if not 0 <= n <= limit:
-        raise ValueError("n=%d outside 0..%d (the subset-count cap)" % (n, limit))
+    if not 0 <= n <= SUBSET_SWEEP_CAP:
+        raise ValueError(
+            "n=%d outside 0..%d (the subset-count cap)" % (n, SUBSET_SWEEP_CAP)
+        )
     return sum(_subsets_below(m, m - 1) for m in range(1, n + 1))
 
 
@@ -386,7 +376,7 @@ def overpartition_counts(n_max, ks):
     }
 
 
-def mp_ell(n, ell, cap=None):
+def mp_ell(n, ell):
     """Count partitions of n whose smallest part greater than 2*ell-1 is odd
     and occurs exactly ell times, with every other odd part occurring at
     most once (even parts are unrestricted).
@@ -399,7 +389,7 @@ def mp_ell(n, ell, cap=None):
         raise ValueError("n must be >= 0")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    _check_sweep(n, cap)
+    _check_sweep(n)
     count = 0
     threshold = 2 * ell - 1
     for parts in partitions(n):
@@ -416,7 +406,7 @@ def mp_ell(n, ell, cap=None):
     return count
 
 
-def mp_ell_verbal(n, ell, cap=None):
+def mp_ell_verbal(n, ell):
     """The literal verbal counting: smallest part greater than 2*ell-1 is odd
     and occurs exactly ell times, ALL other parts occur at most once; when no
     part exceeds 2*ell-1 the condition degenerates to all parts distinct.
@@ -428,7 +418,7 @@ def mp_ell_verbal(n, ell, cap=None):
         raise ValueError("n must be >= 1")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    _check_sweep(n, cap)
+    _check_sweep(n)
     count = 0
     threshold = 2 * ell - 1
     for parts in partitions(n):

@@ -127,10 +127,13 @@ def _report(suite_id, range_desc, cells):
 
 
 def _run_suite(suite_id, config, tables=None):
-    """One suite's report at config, reading tables (default: a store of
-    its own at config.series_order(), so it builds each base series once)."""
+    """One suite's report at config, reading tables.  Without tables it is
+    a public wrapper's run: config is checked as for no suite, since a
+    wrapper may take a k above n_max, and the suite reads a store of its
+    own at config.series_order(), so it builds each base series once."""
     cells, describe = SUITES[suite_id]
     if tables is None:
+        config.validate(suites=())
         tables = stats.TableStore(config.series_order())
     return _report(suite_id, describe(config), cells(tables, config))
 
@@ -157,10 +160,9 @@ def _thmgf_cells(tables, config):
                 yield "ThmGF-ap", {"k": k, "p": p, "n": n}, a[p][n], A[k - 1][p][n]
 
 
-def verify_thmgf(n_max, k_max, all_residues=True):
+def verify_thmgf(n_max, k_max):
     """Check the three closed-form tables against brute-force enumeration."""
-    config = RunConfig(n_max, (1, k_max), all_residues=all_residues, enum_cap=n_max)
-    return _run_suite("thmgf", config)
+    return _run_suite("thmgf", RunConfig(n_max, (1, k_max), enum_cap=n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +188,9 @@ def _thmcomb_cells(tables, config):
                 yield "ThmComb-2", {"k": k, "p": p, "n": n}, ap[n], rhs
 
 
-def verify_thmcomb(n_max, k_max, all_residues=True):
+def verify_thmcomb(n_max, k_max):
     """Check a_k = k*b_k and a_{k,p}(n) = (k-p) b_k(n-p) + p b_k(n+k-p)."""
-    config = RunConfig(n_max, (1, k_max), all_residues=all_residues)
-    return _run_suite("thmcomb", config)
+    return _run_suite("thmcomb", RunConfig(n_max, (1, k_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +408,6 @@ def _bad_exponent_witness_cells(tables, config):
         yield "BadExponent", {"witness_found": 1, "n": n, "ell": ell}, 1, 1
 
 
-def bad_exponent_witness_report(n_max, ell_max=3):
-    """Meta-check for full runs: passes when a counterexample to the
-    uncorrected variant exists (i.e. the sign correction is substantive);
-    vacuous, with no case, when ell_max < 2 or n_max < 1."""
-    return _run_suite("bad-exponent", RunConfig(n_max, ell_range=(1, ell_max)))
-
-
 # ---------------------------------------------------------------------------
 # overpartition identities
 
@@ -556,8 +550,12 @@ def report_jsonable(report):
     }
 
 
-def reports_to_json(reports):
-    """Canonical JSON for a list of reports: stable key order, no
-    wall-clock fields, trailing newline."""
-    payload = [report_jsonable(r) for r in reports]
+def canonical_json(payload):
+    """The one JSON form of every document: stable key order, two-space
+    indent, trailing newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reports_to_json(reports):
+    """Canonical JSON for a list of reports; they hold no wall-clock field."""
+    return canonical_json([report_jsonable(r) for r in reports])

@@ -129,7 +129,9 @@ def test_criterion_05_theta_truncation():
 def test_criterion_06_exponent_correction():
     witness = find_bad_exponent_counterexample(60)
     corrected_ok = all(verify_gen17(2, ell, 60).passed for ell in (1, 2, 3))
-    report = verify.bad_exponent_witness_report(60, 3)
+    (report,) = verify.run_all(
+        verify.RunConfig(60, ell_range=(1, 3)), suites={"bad-exponent"}
+    )
     recorded = report.passed and not report.failures
     check(
         6,

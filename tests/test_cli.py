@@ -230,6 +230,23 @@ def test_verify_bad_exponent_exit_1_and_witness(capsys):
     assert "n=5" in failure_lines[0] and "ell=2" in failure_lines[0]
 
 
+def test_verify_text_report_truncates_the_failures(capsys):
+    # 112 of the 180 cells fail: the report prints the first 20 of them
+    code, out, _ = run_cli(capsys, "verify", "bad-exponent", "--n-max", "60")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].split() == ["bad-exponent", "180", "112"]
+    fails = lines[2:-2]
+    assert len(fails) == cli.MAX_FAILURES_SHOWN == 20
+    assert all(line.startswith("FAIL bad-exponent [BadExponent] ") for line in fails)
+    assert fails[0].endswith("k=2 ell=2 n=5: lhs=-2 rhs=0")
+    assert fails[-1].endswith("k=2 ell=3 n=14: lhs=134 rhs=0")
+    assert lines[-2:] == ["... and 92 more failures in bad-exponent", "FAIL"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "ca2766ff9457d57d8132f638172d764b79d7cbc82b6a212c29082845c7fcc0dd"
+    )
+
+
 def test_verify_bad_exponent_below_ell_2_exit_2(capsys):
     # for ell=1 the two sign rules coincide, so the sweep cannot fail
     code, out, err = run_cli(

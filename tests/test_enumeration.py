@@ -60,18 +60,9 @@ def test_partitions_are_weakly_decreasing_and_unique():
             assert all(parts[i] >= parts[i + 1] >= 1 for i in range(len(parts) - 1))
 
 
-def test_partitions_with_max_part():
-    assert list(partitions(5, max_part=2)) == [
-        (2, 2, 1),
-        (2, 1, 1, 1),
-        (1, 1, 1, 1, 1),
-    ]
-    assert list(partitions(4, max_part=9)) == list(partitions(4))
-    assert list(partitions(3, max_part=0)) == []
-
-
 def reference_partitions(n, cap):
-    """Simple recursive reference for the capped stream."""
+    """Simple recursive reference: the partitions of n with largest part
+    <= cap, in reverse-lexicographic order."""
     if n == 0:
         return [()]
     out = []
@@ -81,9 +72,11 @@ def reference_partitions(n, cap):
 
 
 def test_capped_stream_matches_recursive_reference():
+    # the stream keeps its order on the partitions with largest part <= cap
     for n in range(15):
         for cap in range(1, n + 2):
-            assert list(partitions(n, max_part=cap)) == reference_partitions(n, cap)
+            capped = [parts for parts in partitions(n) if not parts or parts[0] <= cap]
+            assert capped == reference_partitions(n, cap)
 
 
 def test_partition_counts_match_recurrence():
@@ -151,10 +144,17 @@ def test_statistics_domain_validation():
         a_kp(5, 3, 3)
     with pytest.raises(ValueError):
         b_k(5, 0)
+    # the walks over partitions stop at the sweep cap
+    n = enumeration.PARTITION_SWEEP_CAP + 1
+    for walk in (m_ell, mp_ell, mp_ell_verbal):
+        with pytest.raises(ValueError):
+            walk(n, 1)
     with pytest.raises(ValueError):
-        b_k(enumeration.PARTITION_SWEEP_CAP + 1, 2)
-    # explicit cap override allows going past the default
-    assert b_k(enumeration.PARTITION_SWEEP_CAP + 1, 2, cap=70) > 0
+        q_distinct(n)
+    # the a/b lookups walk no partition: past that cap they read the DP
+    A, B = stat_sum_tables(n, 2)
+    assert b_k(n, 2) == B[1][n] > 0
+    assert a_kp(n, 2, 1) == A[1][1][n]
 
 
 def test_statistics_past_the_sweep_bound_match_the_series():
@@ -168,10 +168,10 @@ def test_statistics_past_the_sweep_bound_match_the_series():
     for p in range(3):
         a_table = a_kp_table(3, p, n_max)
         assert A[2][p] == list(a_table.coeffs)
-        # the lookup past the default cap reads the same DP
-        assert a_kp(n_max, 3, p, cap=n_max) == a_table[n_max]
+        # the lookup past the sweep cap reads the same DP
+        assert a_kp(n_max, 3, p) == a_table[n_max]
     assert B[2] == list(b_table.coeffs)
-    assert b_k(n_max, 3, cap=n_max) == b_table[n_max]
+    assert b_k(n_max, 3) == b_table[n_max]
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +222,13 @@ def test_c_subsets_matches_itertools_oracle():
         assert c_subsets(n) == itertools_subset_oracle(n)
 
 
-def test_c_subsets_cap():
+def test_c_subsets_cap(monkeypatch):
     with pytest.raises(ValueError):
         c_subsets(enumeration.SUBSET_SWEEP_CAP + 1)
+    monkeypatch.setattr(enumeration, "SUBSET_SWEEP_CAP", 14)
+    assert c_subsets(14) == itertools_subset_oracle(14)
     with pytest.raises(ValueError):
-        c_subsets(15, cap=14)
+        c_subsets(15)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from test_enumeration import reference_partitions
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(0, 30),
-    max_part=st.none() | st.integers(-1, 35),
-)
-def test_partitions_match_the_recursive_reference(n, max_part):
-    cap = n if max_part is None else max_part
-    assert list(partitions(n, max_part)) == reference_partitions(n, cap)
+@given(n=st.integers(0, 30), cap=st.integers(1, 35))
+def test_partitions_match_the_recursive_reference(n, cap):
+    assert list(partitions(n)) == reference_partitions(n, n)
+    # and in the same order on those with largest part <= cap
+    capped = [parts for parts in partitions(n) if not parts or parts[0] <= cap]
+    assert capped == reference_partitions(n, cap)
 
 
 @settings(max_examples=40, deadline=None)

@@ -232,8 +232,8 @@ def box_partition_counts(rows, cols, order):
     for m in range(min(order, rows * cols) + 1):
         counts[m] = sum(
             1
-            for parts in partitions(m, max_part=cols)
-            if len(parts) <= rows
+            for parts in partitions(m)
+            if len(parts) <= rows and (not parts or parts[0] <= cols)
         )
     return tuple(counts)
 

@@ -154,3 +154,46 @@ def test_every_route_function_has_a_caller_in_the_package():
                 ):
                     uncalled.append((module, node.name))
     assert sorted(uncalled) == sorted(NO_CALLER_KEPT)
+
+
+def call_sets(call, params, name):
+    """Whether call passes the parameter name, whose position among the
+    positional params is known; an unpacked argument may pass any."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    return name in params and params.index(name) < len(call.args)
+
+
+def test_every_defaulted_parameter_is_set_by_a_package_call():
+    # an option that no call in the package sets has one value in use;
+    # functions that no package code calls by name are the public API
+    trees = {
+        path.name: tree for path, tree in package_trees() if path.name != "__init__.py"
+    }
+    functions = {
+        node.name: node
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in functions:
+                    calls.setdefault(name, []).append(node)
+    unset = []
+    for name, found in calls.items():
+        args = functions[name].args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = params[len(params) - len(args.defaults) :] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        for param in defaulted:
+            if not any(call_sets(call, params, param) for call in found):
+                unset.append("%s.%s" % (name, param))
+    assert unset == []

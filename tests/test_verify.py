@@ -11,7 +11,6 @@ from partitionlab import cli, enumeration, stats, verify
 from partitionlab.series import TruncatedSeries, partition_gf
 from partitionlab.verify import (
     RunConfig,
-    bad_exponent_witness_report,
     find_bad_exponent_counterexample,
     reports_to_json,
     run_all,
@@ -177,7 +176,8 @@ def test_uncorrected_exponent_report_collects_failures():
 
 
 def test_bad_exponent_witness_report_passes_when_witness_exists():
-    report = bad_exponent_witness_report(60, 3)
+    config = RunConfig(60, ell_range=(1, 3))
+    (report,) = run_all(config, suites={"bad-exponent"})
     assert report.passed
     assert report.total == 1
 
@@ -662,8 +662,8 @@ def test_table_store_builds_on_first_request_only(monkeypatch):
 # each public wrapper call, and the run_all config of the same suite
 WRAPPED_SUITES = [
     pytest.param(
-        lambda: verify_thmgf(36, 3, all_residues=False),
-        RunConfig(n_max=36, k_range=(1, 3), all_residues=False, enum_cap=36),
+        lambda: verify_thmgf(36, 3),
+        RunConfig(n_max=36, k_range=(1, 3), enum_cap=36),
         id="thmgf",
     ),
     pytest.param(
@@ -696,17 +696,50 @@ WRAPPED_SUITES = [
         RunConfig(n_max=30, ell_range=(1, 3)),
         id="m-routes",
     ),
+    # bad-exponent has no public wrapper: the suite alone, on a store of
+    # its own, against the suite inside a full run's store
     pytest.param(
-        lambda: bad_exponent_witness_report(30, 3),
+        lambda: verify._run_suite("bad-exponent", RunConfig(30, ell_range=(1, 3))),
         RunConfig(n_max=30, ell_range=(1, 3)),
         id="bad-exponent",
     ),
     pytest.param(
-        lambda: bad_exponent_witness_report(30, 1),
+        lambda: verify._run_suite("bad-exponent", RunConfig(30, ell_range=(1, 1))),
         RunConfig(n_max=30, ell_range=(1, 1)),
         id="bad-exponent-vacuous",
     ),
 ]
+
+
+@pytest.mark.parametrize(
+    "wrapper",
+    [
+        lambda: verify_thmgf(-1, 2),
+        lambda: verify_thmcomb(-1, 2),
+        lambda: verify_trunc(1, 2, -1),
+        lambda: verify_trunc_corollaries(1, 2, -1),
+        lambda: verify_gen17(1, 2, -1),
+        lambda: verify_overpartition_identities(2, -1),
+        lambda: verify_m_routes(2, -1),
+        lambda: uncorrected_exponent_report(-1, 3),
+        lambda: find_bad_exponent_counterexample(-1, 3),
+    ],
+    ids=[
+        "thmgf",
+        "thmcomb",
+        "trunc",
+        "trunc-corollaries",
+        "gen17",
+        "overpartitions",
+        "m-routes",
+        "uncorrected-exponent",
+        "bad-exponent-counterexample",
+    ],
+)
+def test_wrapper_rejects_negative_n_max(wrapper):
+    # as run_all does; none returns an empty passing report
+    with pytest.raises(ValueError):
+        wrapper()
 
 
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty-b"])
@@ -728,8 +761,8 @@ def test_wrappers_agree_with_run_all(monkeypatch, wrapper, config, faulty):
 
 
 def test_enum_cap_above_the_sweep_cap_reaches_the_oracle(monkeypatch):
-    # the enumeration-backed suites pass their own bound to the a/b
-    # oracle as its cap, so --enum-cap may exceed the default sweep cap
+    # the enumeration-backed suites read the part-value DP, which walks
+    # no partition, so --enum-cap may exceed the sweep cap of the walks
     monkeypatch.setattr(enumeration, "PARTITION_SWEEP_CAP", 10)
     reports = {r.suite_id: r for r in run_all(RunConfig(n_max=20, enum_cap=15))}
     assert all(r.passed for r in reports.values())
