@@ -157,8 +157,8 @@ def test_every_route_function_has_a_caller_in_the_package():
 
 
 def call_sets(call, params, name):
-    """Whether call passes the parameter name, whose position among the
-    positional params is known; an unpacked argument may pass any."""
+    """Whether call sets the parameter name of a function whose positional
+    parameters are params; a call through *args or **kwargs may set any."""
     if any(isinstance(arg, ast.Starred) for arg in call.args):
         return True
     if any(kw.arg is None or kw.arg == name for kw in call.keywords):
