@@ -93,13 +93,6 @@ class TruncatedSeries:
         self._check_order(other)
         return TruncatedSeries([x + y for x, y in zip(self._coeffs, other._coeffs)])
 
-    def __sub__(self, other):
-        self._check_order(other)
-        return TruncatedSeries([x - y for x, y in zip(self._coeffs, other._coeffs)])
-
-    def __neg__(self):
-        return TruncatedSeries([-x for x in self._coeffs])
-
     def __mul__(self, other):
         """Truncated product.  A factor with at most one nonzero
         coefficient is a monomial, so the product is one O(order) shift

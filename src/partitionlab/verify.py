@@ -126,15 +126,20 @@ def _report(suite_id, range_desc, cells):
     return VerificationReport(suite_id, range_desc, total, failures)
 
 
+def _own_store(config):
+    """A public entry point's store: config is checked as for no suite,
+    since the entry point may take a k above n_max, and the store builds
+    each base series once, at config.series_order()."""
+    config.validate(suites=())
+    return stats.TableStore(config.series_order())
+
+
 def _run_suite(suite_id, config, tables=None):
-    """One suite's report at config, reading tables.  Without tables it is
-    a public wrapper's run: config is checked as for no suite, since a
-    wrapper may take a k above n_max, and the suite reads a store of its
-    own at config.series_order(), so it builds each base series once."""
+    """One suite's report at config, reading tables, or a store of its own
+    when it is a public entry point's run."""
     cells, describe = SUITES[suite_id]
     if tables is None:
-        config.validate(suites=())
-        tables = stats.TableStore(config.series_order())
+        tables = _own_store(config)
     return _report(suite_id, describe(config), cells(tables, config))
 
 
@@ -337,7 +342,7 @@ def verify_gen17(k, ell, n_max, indicator_form=False):
     return _report(
         "gen17",
         dict(_k_ell_range(config), indicator_form=indicator_form),
-        _gen17_cells(stats.TableStore(), config, family),
+        _gen17_cells(_own_store(config), config, family),
     )
 
 
@@ -358,27 +363,23 @@ def _bad_exponent_cells(tables, n_max, ell_max):
             yield "BadExponent", params, lhs[ell][n], rhs[ell][n]
 
 
-def _bad_exponent_witness(tables, n_max, ell_max):
-    cells = _bad_exponent_cells(tables, n_max, ell_max)
-    return _report("bad-exponent", None, cells).first_failure
-
-
 def find_bad_exponent_counterexample(n_max, ell_max=3):
     """Smallest (n, ell) where the uncorrected sign variant fails, or None.
 
     Cells are scanned by increasing n, then increasing ell.
     """
-    witness = _bad_exponent_witness(stats.TableStore(), n_max, ell_max)
+    witness = uncorrected_exponent_report(n_max, ell_max).first_failure
     return None if witness is None else (witness.params["n"], witness.params["ell"])
 
 
 def uncorrected_exponent_report(n_max, ell_max=3):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
+    config = RunConfig(n_max, (2, 2), (1, ell_max))
     return _report(
         "bad-exponent",
-        {"n_max": n_max, "k": [2, 2], "ell": [1, ell_max], "mode": "raw"},
-        _bad_exponent_cells(stats.TableStore(), n_max, ell_max),
+        dict(_k_ell_range(config), mode="raw"),
+        _bad_exponent_cells(_own_store(config), n_max, ell_max),
     )
 
 
@@ -400,7 +401,8 @@ def _bad_exponent_witness_cells(tables, config):
     ell_top = _witness_ell_top(config)
     if ell_top is None:
         return
-    witness = _bad_exponent_witness(tables, config.n_max, ell_top)
+    cells = _bad_exponent_cells(tables, config.n_max, ell_top)
+    witness = _report("bad-exponent", None, cells).first_failure
     if witness is None:
         yield "BadExponent", {"witness_found": 0}, 0, 1
     else:

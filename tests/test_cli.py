@@ -14,6 +14,7 @@ import pytest
 import partitionlab
 from oracles import parse_table_csv
 from partitionlab import cli, stats
+from partitionlab.series import TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -160,15 +161,41 @@ def test_compute_unwritable_path_exit_3(capsys):
     assert "cannot write" in err
 
 
-def test_internal_inconsistency_exit_4(capsys, monkeypatch):
-    def inconsistent(ell, n_max):
-        raise ArithmeticError("M_%d produced a negative count" % ell)
+def _negative_m_count(ell, n_max):
+    return (0, -1) + (0,) * (n_max - 1)
 
-    monkeypatch.setattr(stats, "m_ell_table", inconsistent)
-    code, out, err = run_cli(capsys, "compute", "m", "--ell", "2", "--n-max", "5")
+
+def _mp_base_with_constant_2(n_max, build=stats.mp_base_gf):
+    return TruncatedSeries((2,) + build(n_max).coeffs[1:])
+
+
+@pytest.mark.parametrize(
+    "builder,fault,args,message",
+    [
+        (
+            "_m_ell_from_gaussian",
+            _negative_m_count,
+            ("m", "--ell", "2"),
+            "M_2 produced a negative count",
+        ),
+        (
+            "mp_base_gf",
+            _mp_base_with_constant_2,
+            ("mp", "--ell", "1"),
+            "MP_1 has a nonzero constant term",
+        ),
+    ],
+    ids=["negative-m", "mp-constant-term"],
+)
+def test_internal_inconsistency_exit_4(
+    capsys, monkeypatch, builder, fault, args, message
+):
+    # a fault in a real builder reaches the guard in stats that names it
+    monkeypatch.setattr(stats, builder, fault)
+    code, out, err = run_cli(capsys, "compute", *args, "--n-max", "5")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
-    assert err == "error: internal inconsistency: M_2 produced a negative count\n"
+    assert err == "error: internal inconsistency: %s\n" % message
 
 
 def test_compute_output_is_deterministic(capsys):

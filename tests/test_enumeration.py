@@ -157,6 +157,34 @@ def test_statistics_domain_validation():
     assert a_kp(n, 2, 1) == A[1][1][n]
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: a_kp(5, 0, 0), ValueError, "k must be >= 1"),
+        (lambda: b_k(0, 1), ValueError, "n must be >= 1"),
+        (lambda: m_ell(-1, 1), ValueError, "n must be >= 0"),
+        (lambda: m_ell(5, 0), ValueError, "ell must be >= 1"),
+        (lambda: q_distinct(-1), ValueError, "n must be >= 0"),
+        (lambda: mp_ell_verbal(5, 0), ValueError, "ell must be >= 1"),
+        (lambda: list(overpartitions_p(5, 0)), ValueError, "k must be >= 1"),
+        (lambda: list(overpartitions_a(0, 1)), ValueError, "n must be >= 1"),
+    ],
+    ids=[
+        "a-kp-k",
+        "b-k-n",
+        "m-ell-n",
+        "m-ell-ell",
+        "q-distinct-n",
+        "mp-verbal-ell",
+        "overpartitions-p-k",
+        "overpartitions-a-n",
+    ],
+)
+def test_oracle_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_statistics_past_the_sweep_bound_match_the_series():
     # past n = 316, n * p(n), the bound on every a/b sum, outgrows 64
     # bits; the part-value DP adds Python ints, so n = 400 is as exact

@@ -98,6 +98,40 @@ def test_shifted():
     assert s.shifted(99).coeffs == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda s: TruncatedSeries(()),
+            ValueError,
+            "need at least the constant coefficient",
+        ),
+        (
+            lambda s: TruncatedSeries.monomial(1, -1, 3),
+            ValueError,
+            "exponent must be >= 0",
+        ),
+        (lambda s: s.shifted(-1), ValueError, "exponent must be >= 0"),
+        (lambda s: s.shift_sum([(-1, 1)]), ValueError, "exponent must be >= 0"),
+        (lambda s: s.mul_binomial(-1, 0), ValueError, "binomial exponent must be >= 1"),
+        (lambda s: s.div_binomial(-1, 0), ValueError, "binomial exponent must be >= 1"),
+        (lambda s: s * [1, 2, 3], TypeError, "expected a TruncatedSeries"),
+    ],
+    ids=[
+        "empty",
+        "monomial",
+        "shifted",
+        "shift-sum",
+        "mul-binomial",
+        "div-binomial",
+        "times-list",
+    ],
+)
+def test_series_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call(TruncatedSeries([1, 2, 3]))
+
+
 # ---------------------------------------------------------------------------
 # infinite products
 

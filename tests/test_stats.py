@@ -276,6 +276,20 @@ def test_mp_table_rejects_bad_ell():
         mp_ell_table(0, 5)
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: b_k_table(0, 5), ValueError, "k must be >= 1"),
+        (lambda: c_k_table(0, 5), ValueError, "k must be >= 1"),
+        (lambda: m_ell_table_pdiff(0, 5), ValueError, "ell must be >= 1"),
+    ],
+    ids=["b", "c", "m-pdiff"],
+)
+def test_table_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # divisor indicator term
 

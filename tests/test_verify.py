@@ -723,6 +723,7 @@ WRAPPED_SUITES = [
         lambda: verify_m_routes(2, -1),
         lambda: uncorrected_exponent_report(-1, 3),
         lambda: find_bad_exponent_counterexample(-1, 3),
+        lambda: run_all(RunConfig(-1)),
     ],
     ids=[
         "thmgf",
@@ -734,11 +735,13 @@ WRAPPED_SUITES = [
         "m-routes",
         "uncorrected-exponent",
         "bad-exponent-counterexample",
+        "run-all",
     ],
 )
 def test_wrapper_rejects_negative_n_max(wrapper):
-    # as run_all does; none returns an empty passing report
-    with pytest.raises(ValueError):
+    # every public entry point checks its config as run_all does; none
+    # returns an empty passing report
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
         wrapper()
 
 
@@ -829,6 +832,29 @@ def test_config_validation():
         RunConfig(k_range=(0, 2)).validate()
     with pytest.raises(ValueError):
         RunConfig(n_max=2, k_range=(1, 5)).validate()
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda: RunConfig(ell_range=(0, 2)).validate(),
+            ValueError,
+            "ell values must be >= 1",
+        ),
+        (
+            lambda: RunConfig(enum_cap=-1).validate(),
+            ValueError,
+            "enum_cap must be >= 0",
+        ),
+        (lambda: verify_gen17(0, 2, 10), ValueError, "k values must be >= 1"),
+        (lambda: verify_gen17(1, 0, 10), ValueError, "ell values must be >= 1"),
+    ],
+    ids=["ell", "enum-cap", "gen17-k", "gen17-ell"],
+)
+def test_run_config_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_run_config_defaults_are_the_verify_cli_defaults():
