@@ -164,8 +164,9 @@ def c_k_table(k, n_max, *, tables=None):
 def _m_ell_from_gaussian(ell, n_max):
     # sum over m >= ell of q^(C(ell,2) + (ell+1) m) / (q;q)_m * [m-1, ell-1]_q,
     # maintaining 1/(q;q)_m and the Gaussian binomial incrementally; the
-    # binomial is 1 in the m = ell term and in every term of ell = 1, so
-    # those products are shifts, not convolutions
+    # binomial is a constant run in every term of ell = 1 and 2 and in the
+    # m = ell and m = ell + 1 terms of every ell, so those products are two
+    # binomial steps and a shift, not convolutions
     lead = ell * (ell - 1) // 2
     out = [0] * (n_max + 1)
     m = ell

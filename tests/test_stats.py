@@ -218,16 +218,20 @@ def test_m_table_matches_enumeration(ell):
 
 
 def test_m_two_routes_agree():
-    for ell in range(1, 6):
-        gaussian = m_ell_table(ell, 120)  # the Gaussian-binomial sum
-        pdiff = m_ell_table_pdiff(ell, 120)  # the pentagonal truncation times P
+    # M_1 and M_2 make no convolution, so they are checked at n = 1000 too
+    cases = [(ell, 120) for ell in range(1, 6)] + [(1, 1000), (2, 1000)]
+    for ell, n_max in cases:
+        gaussian = m_ell_table(ell, n_max)  # the Gaussian-binomial sum
+        pdiff = m_ell_table_pdiff(ell, n_max)  # the pentagonal truncation times P
         assert gaussian.coeffs == pdiff.coeffs
 
 
-@pytest.mark.parametrize("ell, calls", [(1, 0), (2, 17), (3, 11)])
-def test_m_table_convolves_no_monomial_factor(monkeypatch, ell, calls):
-    # the Gaussian binomial is 1 in every term of M_1 and in the first
-    # term of every M_ell, so those products are shifts
+@pytest.mark.parametrize("ell, calls", [(1, 0), (2, 0), (3, 10)])
+def test_m_table_convolves_no_constant_run_factor(monkeypatch, ell, calls):
+    # the Gaussian binomial [m-1, ell-1]_q is a run of equal coefficients
+    # in every term of M_1 (it is 1) and of M_2 (1 + q + ... + q^(m-2)),
+    # and in the m = ell and m = ell + 1 terms of every M_ell, so those
+    # products are binomial steps and a shift, not convolutions
     convolve = kernels.convolve
     seen = []
 
