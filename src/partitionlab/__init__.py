@@ -55,12 +55,6 @@ from .verify import (
     run_all,
     uncorrected_exponent_report,
     verify_gen17,
-    verify_m_routes,
-    verify_overpartition_identities,
-    verify_thmcomb,
-    verify_thmgf,
-    verify_trunc,
-    verify_trunc_corollaries,
 )
 
 __version__ = "0.1.0"
@@ -113,10 +107,4 @@ __all__ = [
     "triangular_number",
     "uncorrected_exponent_report",
     "verify_gen17",
-    "verify_m_routes",
-    "verify_overpartition_identities",
-    "verify_thmcomb",
-    "verify_thmgf",
-    "verify_trunc",
-    "verify_trunc_corollaries",
 ]

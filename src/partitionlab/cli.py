@@ -165,7 +165,7 @@ def _build_config(args):
         all_residues=not args.p_zero_only,
         enum_cap=args.enum_cap,
     )
-    config.validate(None if args.suite == "all" else {args.suite})
+    config.validate()
     return config
 
 
@@ -269,8 +269,14 @@ def build_parser():
     # the defaults of a run are RunConfig's
     config = verify.RunConfig()
     p_verify.add_argument("--n-max", type=int, default=config.n_max, dest="n_max")
-    p_verify.add_argument("--k", default="%d..%d" % config.k_range)
-    p_verify.add_argument("--ell", default="%d..%d" % config.ell_range)
+    p_verify.add_argument(
+        "--k", default="%d..%d" % config.k_range, help="lo..hi; may exceed --n-max"
+    )
+    p_verify.add_argument(
+        "--ell",
+        default="%d..%d" % config.ell_range,
+        help="lo..hi; bad-exponent sweeps ell from 1 to hi",
+    )
     p_verify.add_argument(
         "--enum-cap", type=int, default=config.enum_cap, dest="enum_cap"
     )

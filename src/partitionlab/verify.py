@@ -75,11 +75,10 @@ class RunConfig(
 
     __slots__ = ()
 
-    def validate(self, suites=None):
+    def validate(self):
         """Raise ValueError on a config that no run can use.  An empty k
-        or ell range holds no value to check.  n_max must reach the
-        largest k only if a suite in suites (default: every suite) reads
-        k."""
+        or ell range holds no value to check, and a k above n_max is a
+        cell like any other."""
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         if self.ks() and self.k_range[0] < 1:
@@ -88,9 +87,6 @@ class RunConfig(
             raise ValueError("ell values must be >= 1")
         if self.enum_cap < 0:
             raise ValueError("enum_cap must be >= 0")
-        if self.ks() and self.n_max < self.k_range[1]:
-            if suites is None or not _K_FREE_SUITES.issuperset(suites):
-                raise ValueError("n_max must be >= the largest k")
 
     def ks(self):
         return range(self.k_range[0], self.k_range[1] + 1)
@@ -127,20 +123,10 @@ def _report(suite_id, range_desc, cells):
 
 
 def _own_store(config):
-    """A public entry point's store: config is checked as for no suite,
-    since the entry point may take a k above n_max, and the store builds
-    each base series once, at config.series_order()."""
-    config.validate(suites=())
+    """The store of a public entry point's run: config is checked, and the
+    store builds each base series once, at config.series_order()."""
+    config.validate()
     return stats.TableStore(config.series_order())
-
-
-def _run_suite(suite_id, config, tables=None):
-    """One suite's report at config, reading tables, or a store of its own
-    when it is a public entry point's run."""
-    cells, describe = SUITES[suite_id]
-    if tables is None:
-        tables = _own_store(config)
-    return _report(suite_id, describe(config), cells(tables, config))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +134,7 @@ def _run_suite(suite_id, config, tables=None):
 
 
 def _thmgf_cells(tables, config):
+    """The three closed-form tables against brute-force enumeration."""
     n_max = config.enum_n_max()
     ks = list(config.ks())
     if n_max < 1 or not ks:
@@ -165,16 +152,12 @@ def _thmgf_cells(tables, config):
                 yield "ThmGF-ap", {"k": k, "p": p, "n": n}, a[p][n], A[k - 1][p][n]
 
 
-def verify_thmgf(n_max, k_max):
-    """Check the three closed-form tables against brute-force enumeration."""
-    return _run_suite("thmgf", RunConfig(n_max, (1, k_max), enum_cap=n_max))
-
-
 # ---------------------------------------------------------------------------
 # linear relations between a and b statistics
 
 
 def _thmcomb_cells(tables, config):
+    """a_k = k*b_k and a_{k,p}(n) = (k-p) b_k(n-p) + p b_k(n+k-p)."""
     n_max = config.n_max
     for k in config.ks():
         order = n_max + k + 1  # the shifted identity reads b_k(n + k - p)
@@ -191,11 +174,6 @@ def _thmcomb_cells(tables, config):
             for n in range(1, n_max + 1):
                 rhs = (k - p) * b_before[n] + p * b[n + k - p]
                 yield "ThmComb-2", {"k": k, "p": p, "n": n}, ap[n], rhs
-
-
-def verify_thmcomb(n_max, k_max):
-    """Check a_k = k*b_k and a_{k,p}(n) = (k-p) b_k(n-p) + p b_k(n+k-p)."""
-    return _run_suite("thmcomb", RunConfig(n_max, (1, k_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +261,8 @@ def _infsum_cells(identity_id, family, tables, k, n_max):
 
 
 def _trunc_cells(tables, config):
+    """Truncated pentagonal identity: the alternating b_k sum minus the
+    divisor weight, signed, equals sum_j j * M_ell(n - kj)."""
     n_max = config.n_max
     for k in config.ks():
         for ell in config.ells():
@@ -292,13 +272,9 @@ def _trunc_cells(tables, config):
                 yield "Trunc-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n]
 
 
-def verify_trunc(k, ell, n_max):
-    """Truncated pentagonal identity: the alternating b_k sum minus the
-    divisor weight, signed, equals sum_j j * M_ell(n - kj)."""
-    return _run_suite("trunc", RunConfig(n_max, (k, k), (ell, ell)))
-
-
 def _trunc_corollary_cells(tables, config):
+    """Nonnegativity of the truncated pentagonal expression for every ell,
+    and the bilateral sum collapsing to n/k * [k | n]."""
     n_max = config.n_max
     for k in config.ks():
         for ell in config.ells():
@@ -306,12 +282,6 @@ def _trunc_corollary_cells(tables, config):
             for n in range(n_max + 1):
                 yield "Trunc-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0
         yield from _infsum_cells("Trunc-infsum", PENTAGONAL, tables, k, n_max)
-
-
-def verify_trunc_corollaries(k, ell_max, n_max):
-    """Nonnegativity of the truncated pentagonal expression for every
-    ell <= ell_max, and the bilateral sum collapsing to n/k * [k | n]."""
-    return _run_suite("trunc-corollaries", RunConfig(n_max, (k, k), (1, ell_max)))
 
 
 def _gen17_cells(tables, config, family=TRIANGULAR):
@@ -415,6 +385,9 @@ def _bad_exponent_witness_cells(tables, config):
 
 
 def _overpartition_cells(tables, config):
+    """The three marked-overpartition identities: the overlined-part total
+    equals a_k(n); the colored-object count matches its product series;
+    and merging colored into overlined parts is k-to-one."""
     # P1 compares one walk over every partition with the part-value DP
     # stat_sum_tables, which walks no partition: two independent counts.
     # The suite runs its own DP pass, as thmgf does.  P2 builds its
@@ -436,33 +409,21 @@ def _overpartition_cells(tables, config):
             yield "P3", {"k": k, "n": n}, overlined[n], k * colored[n]
 
 
-def verify_overpartition_identities(k, n_max):
-    """The three marked-overpartition identities: the overlined-part total
-    equals a_k(n); the colored-object count matches its product series;
-    and merging colored into overlined parts is k-to-one."""
-    return _run_suite("overpartitions", RunConfig(n_max, (k, k), enum_cap=n_max))
-
-
 # ---------------------------------------------------------------------------
 # M_ell evaluation-route agreement
 
 
 def _m_route_cells(tables, config):
+    """The two M_ell routes agree: the Gaussian-binomial sum
+    (stats.m_ell_table), which reads no P, and the partition-count
+    differences, the pentagonal truncation times P
+    (stats.m_ell_table_pdiff)."""
     n_max = config.n_max
     for ell in config.ells():
-        # the Gaussian-binomial sum, which reads no P, against the
-        # pentagonal truncation times P
         gaussian = tables.get("m_ell_table", ell, n_max).coeffs
         pdiff = tables.get("m_ell_table_pdiff", ell, n_max).coeffs
         for n in range(n_max + 1):
             yield "PfT2", {"ell": ell, "n": n}, gaussian[n], pdiff[n]
-
-
-def verify_m_routes(ell_max, n_max):
-    """The two M_ell routes agree: the Gaussian-binomial sum
-    (stats.m_ell_table) and the partition-count differences, the
-    pentagonal truncation times P (stats.m_ell_table_pdiff)."""
-    return _run_suite("m-routes", RunConfig(n_max, ell_range=(1, ell_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +459,6 @@ SUITES = {
     "bad-exponent": (_bad_exponent_witness_cells, _bad_exponent_witness_range),
 }
 SUITE_ORDER = tuple(SUITES)
-# the suites whose cells read no k: RunConfig.validate checks n_max
-# against the largest k only for a run that selects another suite
-_K_FREE_SUITES = frozenset(("m-routes", "bad-exponent"))
 
 
 def run_all(config=None, suites=None):
@@ -511,11 +469,10 @@ def run_all(config=None, suites=None):
     identical output.
     """
     config = config or RunConfig()
-    config.validate(suites)
-    tables = stats.TableStore(config.series_order())
+    tables = _own_store(config)
     return [
-        _run_suite(sid, config, tables)
-        for sid in SUITE_ORDER
+        _report(sid, describe(config), cells(tables, config))
+        for sid, (cells, describe) in SUITES.items()
         if suites is None or sid in suites
     ]
 

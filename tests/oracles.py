@@ -6,7 +6,9 @@ and a reader of the CLI's CSV output.
   is the dense product that `stats.k_weighted` replaces by a shift and
   two divisions.
 - `gaussian_binomial(n, ell, order)` is [n, ell]_q from the q-Pascal
-  recurrence, the oracle of the stepped Gaussian route of M_ell.
+  recurrence, checked against box-partition counts.  No package function
+  returns a Gaussian binomial (`stats.m_ell_table` steps [m-1, ell-1]_q
+  inside its sum), so no test compares one with it yet.
 - `theta_remainder(k, ell, order)` is sum_j c_k(j) MP_ell(n - j) as that
   double sum, the oracle of `verify`'s remainder of the truncated theta
   identity, which regroups it as (Q(q^2) MP_ell) * q^k/(1-q^k)^2.

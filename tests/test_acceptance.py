@@ -5,7 +5,6 @@ there are no numeric tolerances anywhere.
 Run it alone with:  pytest tests/test_acceptance.py -v -s
 """
 
-from partitionlab import enumeration, stats, verify
 from partitionlab.enumeration import (
     a_k,
     a_kp,
@@ -19,14 +18,10 @@ from partitionlab.enumeration import (
 from partitionlab.series import euler_product, pentagonal_series
 from partitionlab.stats import c_k_table, m_ell_table, mp_ell_table, p_table
 from partitionlab.verify import (
+    RunConfig,
     find_bad_exponent_counterexample,
+    run_all,
     verify_gen17,
-    verify_m_routes,
-    verify_overpartition_identities,
-    verify_thmcomb,
-    verify_thmgf,
-    verify_trunc,
-    verify_trunc_corollaries,
 )
 
 
@@ -59,7 +54,7 @@ def test_criterion_01_reference_values():
 
 
 def test_criterion_02_series_vs_enumeration():
-    report = verify_thmgf(45, 6)
+    (report,) = run_all(RunConfig(45, (1, 6), enum_cap=45), suites={"thmgf"})
     check(
         2,
         "closed-form a/b tables match enumeration (n<=45, k<=6, all residues)",
@@ -69,7 +64,7 @@ def test_criterion_02_series_vs_enumeration():
 
 
 def test_criterion_03_linear_relations():
-    report = verify_thmcomb(300, 8)
+    (report,) = run_all(RunConfig(300, (1, 8)), suites={"thmcomb"})
     check(
         3,
         "a_k = k*b_k and the shifted refinement (n<=300, k<=8)",
@@ -79,32 +74,15 @@ def test_criterion_03_linear_relations():
 
 
 def test_criterion_04_pentagonal_truncation():
-    ok = True
-    detail = []
-    for k in range(1, 5):
-        for ell in range(1, 6):
-            r = verify_trunc(k, ell, 120)
-            if not r.passed:
-                ok = False
-                detail.append((k, ell, r.failures[:2]))
-    for k in range(1, 5):
-        r = verify_trunc_corollaries(k, 5, 120)
-        if not r.passed:
-            ok = False
-            detail.append(("corollaries", k, r.failures[:2]))
-    for k in range(1, 7):
-        r = verify_trunc_corollaries(k, 1, 300)
-        if not r.passed:
-            ok = False
-            detail.append(("bilateral", k, r.failures[:2]))
-    r = verify_m_routes(5, 120)
-    if not r.passed:
-        ok = False
-        detail.append(("m-routes", r.failures[:2]))
+    suites = {"trunc", "trunc-corollaries", "m-routes"}
+    reports = run_all(RunConfig(120, (1, 4), (1, 5)), suites=suites)
+    # the bilateral sum at n <= 300, k <= 6
+    reports += run_all(RunConfig(300, (1, 6), (1, 1)), suites={"trunc-corollaries"})
+    detail = [(r.range_desc, r.failures[:2]) for r in reports if not r.passed]
     check(
         4,
         "pentagonal truncation, nonnegativity, bilateral sum, 3-way M agreement",
-        ok,
+        not detail,
         str(detail),
     )
 
@@ -129,9 +107,7 @@ def test_criterion_05_theta_truncation():
 def test_criterion_06_exponent_correction():
     witness = find_bad_exponent_counterexample(60)
     corrected_ok = all(verify_gen17(2, ell, 60).passed for ell in (1, 2, 3))
-    (report,) = verify.run_all(
-        verify.RunConfig(60, ell_range=(1, 3)), suites={"bad-exponent"}
-    )
+    (report,) = run_all(RunConfig(60, ell_range=(1, 3)), suites={"bad-exponent"})
     recorded = report.passed and not report.failures
     check(
         6,
@@ -157,17 +133,12 @@ def test_criterion_07_subset_bridge():
 def test_criterion_08_overpartition_identities():
     ok = len(list(overpartitions_p(6, 3))) == 4
     ok = ok and len(list(overpartitions_a(6, 3))) == 5
-    detail = []
-    for k in range(1, 6):
-        r = verify_overpartition_identities(k, 40)
-        if not r.passed:
-            ok = False
-            detail.append((k, r.failures[:2]))
+    (report,) = run_all(RunConfig(40, (1, 5), enum_cap=40), suites={"overpartitions"})
     check(
         8,
         "marked-overpartition identities (n<=40, k<=5) incl. the two displays",
-        ok,
-        str(detail),
+        ok and report.passed,
+        str(report.failures[:3]),
     )
 
 

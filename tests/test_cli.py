@@ -352,10 +352,39 @@ def test_verify_empty_range_below_one_exit_0(capsys, flag):
     assert out.endswith("PASS\n")
 
 
-def test_verify_bad_range_exit_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "all", "--n-max", "2", "--k", "1..5")
-    assert code == 2
-    assert "n_max" in err
+def test_verify_n_max_below_the_largest_k_runs(capsys):
+    # a k above n_max is a cell like any other; the first cell where the
+    # wrong sign fails is n = 5, ell = 2, so below n_max = 5 bad-exponent
+    # finds no witness and verify all exits 1
+    code, out, err = run_cli(capsys, "verify", "all", "--n-max", "4", "--k", "1..5")
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "FAIL bad-exponent [BadExponent] witness_found=0: lhs=0 rhs=1\nFAIL\n"
+    )
+    code, out, err = run_cli(capsys, "verify", "all", "--n-max", "5", "--k", "1..5")
+    assert (code, err) == (0, "")
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "trunc", "--n-max", "4", "--k", "5", "--ell", "2", "--format", "json",
+    )
+    (report,) = json.loads(out)
+    assert (code, report["total"], report["failed"]) == (0, 5, 0)
+
+
+def test_bad_exponent_sweeps_ell_from_1(capsys):
+    # the raw sweep and the witness inside verify all both start at ell = 1,
+    # whatever the lower end of --ell; only ell >= 2 can fail
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "bad-exponent", "--ell", "3..3", "--n-max", "10", "--format", "json",
+    )
+    (report,) = json.loads(out)
+    assert (code, report["range"]["ell"], report["total"]) == (1, [1, 3], 30)
+    assert {case["params"]["ell"] for case in report["failures"]} == {2, 3}
+    code, out, _ = run_cli(capsys, "verify", "all", "--ell", "2..3", "--format", "json")
+    report = json.loads(out)[-1]
+    assert (code, report["suite"]) == (0, "bad-exponent")
+    assert report["range"]["ell"] == [1, 3]
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--subset-cap"])

@@ -116,14 +116,18 @@ def test_verify_builds_its_sums_apart_from_the_remainder_side():
             assert node.attr not in REMAINDER_SIDE_BUILDERS, where
 
 
-# the public functions of these modules are the series route and the
-# command line; one that nothing in the package calls is test-only code
-# (an oracle, or a reader of the CLI's output) and belongs in
-# tests/oracles.py
-ROUTE_MODULES = ("series.py", "kernels.py", "cli.py")
+# the public functions of these modules are the series route, the
+# command line and the verification entry points; one that nothing in the
+# package calls is test-only code (an oracle, a reader of the CLI's
+# output, or a second way to run a suite) and belongs in tests/oracles.py
+ROUTE_MODULES = ("series.py", "kernels.py", "cli.py", "verify.py")
 # (module, function) -> why it stays in the package with no caller there
 NO_CALLER_KEPT = {
     ("kernels.py", "ab_stat_sums"): "perfbench/tracer.py wraps it by name",
+    ("verify.py", "verify_gen17"): "the README's indicator-form diagnostic",
+    ("verify.py", "find_bad_exponent_counterexample"): (
+        "the README's counterexample finder"
+    ),
 }
 
 
