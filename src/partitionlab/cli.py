@@ -6,9 +6,10 @@ Subcommands:
   export   -- bulk-dump a family of statistic tables as one JSON document
 
 Exit codes: 0 success, 1 at least one identity failure, 2 invalid
-usage/parameters, 3 I/O error, 4 internal inconsistency (a statistic
-table failed its own check: a negative M or MP count, or a nonzero MP
-constant term).  Identical invocations produce byte-identical output.
+usage/parameters (an --n-max too large to index is one), 3 I/O error, 4
+internal inconsistency (a statistic table failed its own check: a
+negative M or MP count, or a nonzero MP constant term).  Identical
+invocations produce byte-identical output.
 """
 
 import argparse
@@ -308,7 +309,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except IOError as exc:

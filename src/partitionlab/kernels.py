@@ -1,14 +1,10 @@
 """The inner loops of the series route, in pure Python.
 
 `convolve` (truncated big-integer Cauchy product) carries every
-`TruncatedSeries` product of two factors neither of which is a constant
-run (equal nonzero coefficients at consecutive exponents, such as a
-monomial or [m-1, 1]_q); a product with a run factor is two binomial
-steps and a shift in `series` and never reaches it.  `invert_unit`
-(series inversion) carries every inverse.  `convolve` is a row-dot kernel:
-each output coefficient is one dot product that `sum(map(mul, ...))`
-evaluates in C, so the interpreter runs one loop step per
-coefficient, not one per term.
+`TruncatedSeries` product, and `invert_unit` (series inversion) every
+inverse.  `convolve` is a row-dot kernel: each output coefficient is one
+dot product that `sum(map(mul, ...))` evaluates in C, so the interpreter
+runs one loop step per coefficient, not one per term.
 The third kernel, the partition sweep `ab_stat_sums` that accumulates
 the a/b statistics, no longer runs in the package; it is the test
 oracle of `enumeration.stat_sum_tables`.
@@ -26,9 +22,7 @@ def convolve(a, b):
     with the slice of reversed b that ends at b[0].  map stops at the
     shorter operand, so a is never sliced.  Zero terms are not skipped:
     a zero product costs the C loop almost nothing, while a skip would
-    need a Python-level test per term.  A factor that is a constant run,
-    monomials included, never gets here: `TruncatedSeries.__mul__`
-    multiplies by it in O(n).  There is no math.sumprod: it
+    need a Python-level test per term.  There is no math.sumprod: it
     exists only from Python 3.12, and a version fork would be a second
     path to keep correct.
     """

@@ -94,23 +94,9 @@ class TruncatedSeries:
         return TruncatedSeries([x + y for x, y in zip(self._coeffs, other._coeffs)])
 
     def __mul__(self, other):
-        """Truncated product.  A factor whose nonzero coefficients are r
-        copies of one value c at exponents s..s+r-1 (a constant run: a
-        monomial, the zero series, or a Gaussian binomial such as
-        [m-1, 1]_q) is c*q^s*(1 - q^r)/(1 - q), so the product is one
-        binomial multiplication and one division (skipped when r <= 1),
-        then a shift and scale of the other factor, all O(order); only
-        two factors that are not runs go through kernels.convolve."""
+        """Truncated product, by kernels.convolve."""
         self._check_order(other)
-        run, rest = _constant_run(other._coeffs), self
-        if run is None:
-            run, rest = _constant_run(self._coeffs), other
-            if run is None:
-                return TruncatedSeries(kernels.convolve(self._coeffs, other._coeffs))
-        start, length, value = run
-        if length > 1:
-            rest = rest.mul_binomial(-1, length).div_binomial(-1, 1)
-        return rest.shift_sum(((start, value),))
+        return TruncatedSeries(kernels.convolve(self._coeffs, other._coeffs))
 
     def invert(self):
         """Series inverse; requires constant term +1 or -1."""
@@ -163,18 +149,6 @@ def _zeros(order):
     if order < 0:
         raise ValueError("order must be >= 0")
     return [0] * (order + 1)
-
-
-def _constant_run(coeffs):
-    """(start, length, value) when the nonzero coefficients are length
-    copies of value at the consecutive exponents start.., else None;
-    the zero series is the run (0, 0, 0).  Every scan runs in C."""
-    length = len(coeffs) - coeffs.count(0)
-    value = next(filter(None, coeffs), 0)
-    start = coeffs.index(value)
-    if coeffs[start : start + length].count(value) != length:
-        return None
-    return start, length, value
 
 
 def _mul_binomial_inplace(c, sign, exponent):

@@ -164,9 +164,8 @@ def c_k_table(k, n_max, *, tables=None):
 def _m_ell_from_gaussian(ell, n_max):
     # sum over m >= ell of q^(C(ell,2) + (ell+1) m) / (q;q)_m * [m-1, ell-1]_q,
     # maintaining 1/(q;q)_m and the Gaussian binomial incrementally; the
-    # binomial is a constant run in every term of ell = 1 and 2 and in the
-    # m = ell and m = ell + 1 terms of every ell, so those products are two
-    # binomial steps and a shift, not convolutions
+    # binomial is 1 when ell = 1 or m = ell, and (1 - q^(m-1))/(1 - q) when
+    # ell = 2 or m = ell + 1, so only the other terms convolve
     lead = ell * (ell - 1) // 2
     out = [0] * (n_max + 1)
     m = ell
@@ -180,7 +179,13 @@ def _m_ell_from_gaussian(ell, n_max):
         exponent = lead + (ell + 1) * m
         if exponent > n_max:
             break
-        term = (inv_poch * binom).shifted(exponent)
+        if ell == 1 or m == ell:
+            term = inv_poch
+        elif ell == 2 or m == ell + 1:
+            term = inv_poch.mul_binomial(-1, m - 1).div_binomial(-1, 1)
+        else:
+            term = inv_poch * binom
+        term = term.shifted(exponent)
         out = [s + t for s, t in zip(out, term.coeffs)]
         # advance both running factors from m to m+1:
         # [m, ell-1] = [m-1, ell-1] * (1-q^m)/(1-q^(m-ell+1))

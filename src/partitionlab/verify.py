@@ -371,13 +371,20 @@ def _bad_exponent_witness_cells(tables, config):
     ell_top = _witness_ell_top(config)
     if ell_top is None:
         return
-    cells = _bad_exponent_cells(tables, config.n_max, ell_top)
+    n_max = config.n_max
+    cells = _bad_exponent_cells(tables, n_max, ell_top)
     witness = _report("bad-exponent", None, cells).first_failure
-    if witness is None:
-        yield "BadExponent", {"witness_found": 0}, 0, 1
-    else:
+    if witness is not None:
         n, ell = witness.params["n"], witness.params["ell"]
         yield "BadExponent", {"witness_found": 1, "n": n, "ell": ell}, 1, 1
+    elif any(
+        TRIANGULAR.lhs(tables, 2, ell, n_max)
+        != TRIANGULAR_UNCORRECTED.lhs(tables, 2, ell, n_max)
+        for ell in range(1, ell_top + 1)
+    ):
+        # no witness although the signs change some left side; where they
+        # change none, as below the first witness, nothing is to be shown
+        yield "BadExponent", {"witness_found": 0}, 0, 1
 
 
 # ---------------------------------------------------------------------------

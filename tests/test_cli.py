@@ -198,6 +198,18 @@ def test_internal_inconsistency_exit_4(
     assert err == "error: internal inconsistency: %s\n" % message
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("compute", "b", "--k", "3"), ("verify", "all"), ("export", "--stats", "a,b")],
+    ids=["compute", "verify", "export"],
+)
+def test_a_size_that_cannot_be_indexed_exit_2(capsys, args):
+    # a size too large for an index is bad input, not an internal fault
+    code, out, err = run_cli(capsys, *args, "--n-max", str(10**20))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
 def test_compute_output_is_deterministic(capsys):
     args = ("compute", "c", "--k", "2", "--n-max", "30", "--format", "json")
     _, first, _ = run_cli(capsys, *args)
@@ -354,15 +366,14 @@ def test_verify_empty_range_below_one_exit_0(capsys, flag):
 
 def test_verify_n_max_below_the_largest_k_runs(capsys):
     # a k above n_max is a cell like any other; the first cell where the
-    # wrong sign fails is n = 5, ell = 2, so below n_max = 5 bad-exponent
-    # finds no witness and verify all exits 1
-    code, out, err = run_cli(capsys, "verify", "all", "--n-max", "4", "--k", "1..5")
-    assert (code, err) == (1, "")
-    assert out.endswith(
-        "FAIL bad-exponent [BadExponent] witness_found=0: lhs=0 rhs=1\nFAIL\n"
-    )
-    code, out, err = run_cli(capsys, "verify", "all", "--n-max", "5", "--k", "1..5")
-    assert (code, err) == (0, "")
+    # wrong sign fails is n = 5, ell = 2, and below it the two signs give
+    # the same left side, so bad-exponent has nothing to show: no cell
+    for n_max in range(6):
+        args = ("--n-max", str(n_max), "--k", "1..5", "--format", "json")
+        code, out, err = run_cli(capsys, "verify", "all", *args)
+        assert (code, err) == (0, "")
+        (witness,) = [r for r in json.loads(out) if r["suite"] == "bad-exponent"]
+        assert (witness["total"], witness["failed"]) == (int(n_max == 5), 0)
     code, out, _ = run_cli(
         capsys,
         "verify", "trunc", "--n-max", "4", "--k", "5", "--ell", "2", "--format", "json",

@@ -50,37 +50,20 @@ def test_div_binomial_undoes_mul_binomial(coeffs, sign, exponent):
     assert s.mul_binomial(sign, exponent).div_binomial(sign, exponent) == s
 
 
-def test_a_product_with_a_constant_run_is_the_naive_product(monkeypatch):
-    convolve = kernels.convolve
-    calls = []
-
-    def counting(a, b):
-        calls.append(len(a))
-        return convolve(a, b)
-
-    monkeypatch.setattr(kernels, "convolve", counting)
-    # two values, and a gap: neither is a run, so both still convolve
-    for coeffs in ([1, 1, 2], [1, 0, 1]):
-        s = TruncatedSeries(coeffs)
-        assert list((s * s).coeffs) == naive_convolve(coeffs, coeffs)
-    assert len(calls) == 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(coeffs=same_length_lists(1), c=coefficient, data=st.data())
-    def check(coeffs, c, data):
-        # r = 1 is a monomial; c = 0, r = 0 or s = order + 1 the zero
-        # series; s + r = order + 1 a run that ends at the last coefficient
-        s = TruncatedSeries(coeffs[0])
-        start = data.draw(st.integers(0, s.order + 1))
-        length = data.draw(st.integers(0, s.order + 1 - start))
-        tail = len(s) - start - length
-        run = TruncatedSeries([0] * start + [c] * length + [0] * tail)
-        expected = naive_convolve(s.coeffs, run.coeffs)
-        assert list((s * run).coeffs) == expected
-        assert list((run * s).coeffs) == expected
-
-    check()
-    assert len(calls) == 2
+@settings(max_examples=60, deadline=None)
+@given(coeffs=same_length_lists(1), c=coefficient, data=st.data())
+def test_a_product_with_a_constant_run_is_the_naive_product(coeffs, c, data):
+    # a run is c at the exponents start..start+length-1: length = 1 is a
+    # monomial; c = 0, length = 0 or start = order + 1 the zero series;
+    # start + length = order + 1 a run that ends at the last coefficient
+    s = TruncatedSeries(coeffs[0])
+    start = data.draw(st.integers(0, s.order + 1))
+    length = data.draw(st.integers(0, s.order + 1 - start))
+    tail = len(s) - start - length
+    run = TruncatedSeries([0] * start + [c] * length + [0] * tail)
+    expected = naive_convolve(s.coeffs, run.coeffs)
+    assert list((s * run).coeffs) == expected
+    assert list((run * s).coeffs) == expected
 
 
 @settings(max_examples=40, deadline=None)

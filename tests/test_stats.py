@@ -226,12 +226,12 @@ def test_m_two_routes_agree():
         assert gaussian.coeffs == pdiff.coeffs
 
 
-@pytest.mark.parametrize("ell, calls", [(1, 0), (2, 0), (3, 10)])
+@pytest.mark.parametrize("ell, calls", [(1, 0), (2, 0), (3, 10), (4, 5), (5, 2)])
 def test_m_table_convolves_no_constant_run_factor(monkeypatch, ell, calls):
-    # the Gaussian binomial [m-1, ell-1]_q is a run of equal coefficients
-    # in every term of M_1 (it is 1) and of M_2 (1 + q + ... + q^(m-2)),
-    # and in the m = ell and m = ell + 1 terms of every M_ell, so those
-    # products are binomial steps and a shift, not convolutions
+    # the Gaussian binomial [m-1, ell-1]_q is 1 in every term of M_1 and
+    # 1 + q + ... + q^(m-2) in every term of M_2, and such a run in the
+    # m = ell and m = ell + 1 terms of every M_ell, so those terms are
+    # binomial steps, not convolutions
     convolve = kernels.convolve
     seen = []
 
