@@ -50,7 +50,6 @@ from .verify import (
     IdentityCase,
     RunConfig,
     VerificationReport,
-    find_bad_exponent_counterexample,
     reports_to_json,
     run_all,
     uncorrected_exponent_report,
@@ -81,7 +80,6 @@ __all__ = [
     "distinct_parts_gf",
     "divisor_term",
     "euler_product",
-    "find_bad_exponent_counterexample",
     "m_ell",
     "m_ell_table",
     "m_ell_table_pdiff",

@@ -6,10 +6,10 @@ Subcommands:
   export   -- bulk-dump a family of statistic tables as one JSON document
 
 Exit codes: 0 success, 1 at least one identity failure, 2 invalid
-usage/parameters (an --n-max too large to index is one), 3 I/O error, 4
-internal inconsistency (a statistic table failed its own check: a
-negative M or MP count, or a nonzero MP constant term).  Identical
-invocations produce byte-identical output.
+usage/parameters (an --n-max too large to index or to fit in memory is
+one), 3 I/O error, 4 internal inconsistency (a statistic table failed
+its own check: a negative M or MP count, or a nonzero MP constant term).
+Identical invocations produce byte-identical output.
 """
 
 import argparse
@@ -163,7 +163,6 @@ def _build_config(args):
         n_max=args.n_max,
         k_range=parse_range(args.k),
         ell_range=parse_range(args.ell),
-        all_residues=not args.p_zero_only,
         enum_cap=args.enum_cap,
     )
     config.validate()
@@ -193,15 +192,14 @@ def cmd_verify(args):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILURES
 
 
-def export_document(selectors, k_range, ell_range, n_max, all_residues=True):
+def export_document(selectors, k_range, ell_range, n_max):
     """The statistic id, parameters and table of every (stat, parameter)
     combination, keyed stat/params.
 
-    Selector expansion: 'a' covers every k in k_range and (with
-    all_residues) every residue 0 <= p < k; 'b' and 'c' cover each k;
-    'm' and 'mp' cover each ell in ell_range; 'q' and 'p' are single
-    tables.  A non-empty k_range must start at k >= 1 whenever 'a', 'b'
-    or 'c' is selected.
+    Selector expansion: 'a' covers every k in k_range and every residue
+    0 <= p < k; 'b' and 'c' cover each k; 'm' and 'mp' cover each ell in
+    ell_range; 'q' and 'p' are single tables.  A non-empty k_range must
+    start at k >= 1 whenever 'a', 'b' or 'c' is selected.
     """
     for stat in selectors:
         _require(stat in TABLES, "unknown stat %r in --stats" % stat)
@@ -211,7 +209,7 @@ def export_document(selectors, k_range, ell_range, n_max, all_residues=True):
     # the values of each parameter, given the values before it
     choices = {
         "k": lambda head: ks,
-        "p": lambda head: range(head[0] if all_residues else 1),
+        "p": lambda head: range(head[0]),
         "ell": lambda head: range(ell_range[0], ell_range[1] + 1),
     }
     # one store for the whole document: the tables share their base series
@@ -233,11 +231,7 @@ def cmd_export(args):
     selectors = [s for s in args.stats.split(",") if s] if args.stats else []
     _require(args.n_max >= 0, "--n-max must be >= 0")
     doc = export_document(
-        selectors,
-        parse_range(args.k),
-        parse_range(args.ell),
-        args.n_max,
-        all_residues=not args.p_zero_only,
+        selectors, parse_range(args.k), parse_range(args.ell), args.n_max
     )
     # render once every table is built: rendering each entry between
     # builds made the n = 500 export about 4% slower end to end
@@ -281,11 +275,6 @@ def build_parser():
     p_verify.add_argument(
         "--enum-cap", type=int, default=config.enum_cap, dest="enum_cap"
     )
-    p_verify.add_argument(
-        "--p-zero-only",
-        action="store_true",
-        help="check only the residue p=0 of each a-statistic",
-    )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
@@ -297,7 +286,6 @@ def build_parser():
     p_export.add_argument("--k", default="1..3")
     p_export.add_argument("--ell", default="1..3")
     p_export.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p_export.add_argument("--p-zero-only", action="store_true")
     p_export.add_argument("--out")
     p_export.set_defaults(func=cmd_export)
 
@@ -311,6 +299,10 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # str(MemoryError()) is empty
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except IOError as exc:
         print("error: %s" % exc, file=sys.stderr)

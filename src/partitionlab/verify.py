@@ -63,8 +63,8 @@ class VerificationReport(
 class RunConfig(
     namedtuple(
         "RunConfig",
-        "n_max k_range ell_range all_residues enum_cap",
-        defaults=(60, (1, 4), (1, 3), True, 30),
+        "n_max k_range ell_range enum_cap",
+        defaults=(60, (1, 4), (1, 3), 30),
     )
 ):
     """Ranges and caps for a full verification run.
@@ -134,7 +134,8 @@ def _own_store(config):
 
 
 def _thmgf_cells(tables, config):
-    """The three closed-form tables against brute-force enumeration."""
+    """The three closed-form tables, at every residue 0 <= p < k, against
+    brute-force enumeration."""
     n_max = config.enum_n_max()
     ks = list(config.ks())
     if n_max < 1 or not ks:
@@ -143,12 +144,11 @@ def _thmgf_cells(tables, config):
     A, B = enumeration.stat_sum_tables(n_max, max(ks))
     for k in ks:
         b = tables.get("b_k_table", k, n_max).coeffs
-        p_top = k if config.all_residues else 1
-        a = [tables.get("a_kp_table", k, p, n_max).coeffs for p in range(p_top)]
+        a = [tables.get("a_kp_table", k, p, n_max).coeffs for p in range(k)]
         for n in range(1, n_max + 1):
             yield "ThmGF-b", {"k": k, "n": n}, b[n], B[k - 1][n]
             yield "ThmGF-a", {"k": k, "n": n}, a[0][n], A[k - 1][0][n]
-            for p in range(1, p_top):
+            for p in range(1, k):
                 yield "ThmGF-ap", {"k": k, "p": p, "n": n}, a[p][n], A[k - 1][p][n]
 
 
@@ -166,8 +166,6 @@ def _thmcomb_cells(tables, config):
         a0 = tables.get("a_k_table", k, order).coeffs
         for n in range(1, n_max + 1):
             yield "ThmComb-1", {"k": k, "n": n}, a0[n], k * b[n]
-        if not config.all_residues:
-            continue
         for p in range(1, k):
             ap = tables.get("a_kp_table", k, p, order).coeffs
             b_before = b_tab.shifted(p).coeffs  # b_k(n - p), 0 for n < p
@@ -333,15 +331,6 @@ def _bad_exponent_cells(tables, n_max, ell_max):
             yield "BadExponent", params, lhs[ell][n], rhs[ell][n]
 
 
-def find_bad_exponent_counterexample(n_max, ell_max=3):
-    """Smallest (n, ell) where the uncorrected sign variant fails, or None.
-
-    Cells are scanned by increasing n, then increasing ell.
-    """
-    witness = uncorrected_exponent_report(n_max, ell_max).first_failure
-    return None if witness is None else (witness.params["n"], witness.params["ell"])
-
-
 def uncorrected_exponent_report(n_max, ell_max=3):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
@@ -353,25 +342,20 @@ def uncorrected_exponent_report(n_max, ell_max=3):
     )
 
 
-def _witness_ell_top(config):
-    # the two sign rules coincide for ell=1, so the demonstration needs
-    # ell >= 2 and some n; otherwise the check is vacuous (None)
-    lo, hi = config.ell_range
-    return hi if lo <= hi and hi >= 2 and config.n_max >= 1 else None
-
-
 def _bad_exponent_witness_range(config):
-    n_max, ell_top = config.n_max, _witness_ell_top(config)
-    if ell_top is None:
-        return {"n_max": n_max, "ell": list(config.ell_range), "mode": "witness"}
-    return {"n_max": n_max, "k": [2, 2], "ell": [1, ell_top], "mode": "witness"}
+    # the two sign rules coincide for ell=1, so the demonstration needs
+    # ell >= 2 and some n; otherwise the check is vacuous
+    n_max, (lo, hi) = config.n_max, config.ell_range
+    if lo <= hi and hi >= 2 and n_max >= 1:
+        return {"n_max": n_max, "k": [2, 2], "ell": [1, hi], "mode": "witness"}
+    return {"n_max": n_max, "ell": [lo, hi], "mode": "witness"}
 
 
 def _bad_exponent_witness_cells(tables, config):
-    ell_top = _witness_ell_top(config)
-    if ell_top is None:
-        return
-    n_max = config.n_max
+    # ell = 1..hi, or no ell for an empty ell range; where the two sign
+    # rules give the same left sides (ell = 1, or n_max < 5) no cell follows
+    n_max, (lo, hi) = config.n_max, config.ell_range
+    ell_top = hi if lo <= hi else 0
     cells = _bad_exponent_cells(tables, n_max, ell_top)
     witness = _report("bad-exponent", None, cells).first_failure
     if witness is not None:
@@ -452,7 +436,8 @@ def _k_ell_range(config):
 SUITES = {
     "thmgf": (
         _thmgf_cells,
-        lambda c: dict(_k_range(c, c.enum_n_max()), all_residues=c.all_residues),
+        # the constant key keeps the range that perfbench/reference.json gates
+        lambda c: dict(_k_range(c, c.enum_n_max()), all_residues=True),
     ),
     "thmcomb": (_thmcomb_cells, lambda c: _k_range(c, c.n_max)),
     "trunc": (_trunc_cells, _k_ell_range),

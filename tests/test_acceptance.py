@@ -19,8 +19,8 @@ from partitionlab.series import euler_product, pentagonal_series
 from partitionlab.stats import c_k_table, m_ell_table, mp_ell_table, p_table
 from partitionlab.verify import (
     RunConfig,
-    find_bad_exponent_counterexample,
     run_all,
+    uncorrected_exponent_report,
     verify_gen17,
 )
 
@@ -105,7 +105,8 @@ def test_criterion_05_theta_truncation():
 
 
 def test_criterion_06_exponent_correction():
-    witness = find_bad_exponent_counterexample(60)
+    first = uncorrected_exponent_report(60).first_failure
+    witness = None if first is None else (first.params["n"], first.params["ell"])
     corrected_ok = all(verify_gen17(2, ell, 60).passed for ell in (1, 2, 3))
     (report,) = run_all(RunConfig(60, ell_range=(1, 3)), suites={"bad-exponent"})
     recorded = report.passed and not report.failures

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -198,16 +199,34 @@ def test_internal_inconsistency_exit_4(
     assert err == "error: internal inconsistency: %s\n" % message
 
 
-@pytest.mark.parametrize(
+# one invocation of each subcommand, to which a test appends --n-max
+EACH_COMMAND = pytest.mark.parametrize(
     "args",
     [("compute", "b", "--k", "3"), ("verify", "all"), ("export", "--stats", "a,b")],
     ids=["compute", "verify", "export"],
 )
+
+
+@EACH_COMMAND
 def test_a_size_that_cannot_be_indexed_exit_2(capsys, args):
     # a size too large for an index is bad input, not an internal fault
     code, out, err = run_cli(capsys, *args, "--n-max", str(10**20))
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
+def _out_of_memory(n_max):
+    raise MemoryError
+
+
+@EACH_COMMAND
+def test_a_size_that_does_not_fit_in_memory_exit_2(capsys, monkeypatch, args):
+    # a size too large for memory is bad input too; a builder that raises
+    # stands in for a real allocation failure
+    monkeypatch.setattr(stats, "partition_gf", _out_of_memory)
+    code, out, err = run_cli(capsys, *args, "--n-max", "10")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: out of memory\n"
 
 
 def test_compute_output_is_deterministic(capsys):
@@ -407,6 +426,38 @@ def test_verify_has_no_unread_flags(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [("verify", "all"), ("export", "--n-max", "5")], ids=["verify", "export"]
+)
+def test_p_zero_only_is_no_flag(capsys, command):
+    # thmgf, thmcomb and export --stats a always cover every residue p < k
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--p-zero-only"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --p-zero-only" in capsys.readouterr().err
+
+
+def test_every_cli_option_is_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    parser = cli.build_parser()
+    (subcommands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    missing = [
+        "%s %s" % (command, option)
+        for command, sub in subcommands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--") and option not in readme
+    ]
+    assert missing == []
+
+
 def test_verify_malformed_range_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "all", "--k", "x..y")
     assert code == 2
@@ -474,15 +525,6 @@ def test_compute_prints_the_export_entry_of_every_table(capsys):
         assert json.loads(out) == json.loads(doc)[key], stat
 
 
-def test_export_p_zero_only(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "export", "--stats", "a", "--k", "1..3", "--n-max", "10", "--p-zero-only",
-    )
-    assert code == 0
-    assert sorted(json.loads(out)) == ["a/k=1/p=0", "a/k=2/p=0", "a/k=3/p=0"]
-
-
 def test_export_empty_selector(capsys):
     code, out, _ = run_cli(capsys, "export", "--stats", "", "--n-max", "5")
     assert code == 0
@@ -546,9 +588,15 @@ def sha256_of_output(capsys, *argv):
             id="empty-ranges",
         ),
         pytest.param(
-            ["--p-zero-only", "--k", "2..4"],
-            "f8e48a1a5014845eee1188113190ce6efcd7e068e64d30695582ab65eaacbdb0",
-            id="p-zero-only",
+            ["--k", "2..4"],
+            "bc5ac1997079d121463653902886956cc653229d4ad2888c8b4abcf14d8687b6",
+            id="k-2..4",
+        ),
+        # the witness check with no n to sweep
+        pytest.param(
+            ["--n-max", "0"],
+            "5fb6859229562dea3f6626252e3d1f4dabd4216a6e43162a69d5d353cbf4c1b1",
+            id="n-max-0",
         ),
         pytest.param(
             ["--n-max", "60", "--k", "1..6", "--enum-cap", "45"],

@@ -125,9 +125,6 @@ ROUTE_MODULES = ("series.py", "kernels.py", "cli.py", "verify.py")
 NO_CALLER_KEPT = {
     ("kernels.py", "ab_stat_sums"): "perfbench/tracer.py wraps it by name",
     ("verify.py", "verify_gen17"): "the README's indicator-form diagnostic",
-    ("verify.py", "find_bad_exponent_counterexample"): (
-        "the README's counterexample finder"
-    ),
 }
 
 

@@ -11,7 +11,6 @@ from partitionlab import cli, enumeration, stats, verify
 from partitionlab.series import TruncatedSeries, partition_gf
 from partitionlab.verify import (
     RunConfig,
-    find_bad_exponent_counterexample,
     reports_to_json,
     run_all,
     uncorrected_exponent_report,
@@ -159,12 +158,13 @@ def test_gen17_indicator_variant_is_identical_for_k2():
 
 
 def test_bad_exponent_witness():
-    assert find_bad_exponent_counterexample(60) == (5, 2)
+    witness = uncorrected_exponent_report(60).first_failure
+    assert witness.params == {"k": 2, "ell": 2, "n": 5}
 
 
 def test_bad_exponent_absent_for_ell_1():
     # with ell=1 the two sign rules coincide on j in {0, 1}
-    assert find_bad_exponent_counterexample(120, ell_max=1) is None
+    assert uncorrected_exponent_report(120, ell_max=1).first_failure is None
 
 
 def test_uncorrected_exponent_report_collects_failures():
@@ -785,7 +785,6 @@ WRAPPED_SUITES = [
         lambda: run_all(RunConfig(-1), suites={"overpartitions"}),
         lambda: run_all(RunConfig(-1), suites={"m-routes"}),
         lambda: uncorrected_exponent_report(-1, 3),
-        lambda: find_bad_exponent_counterexample(-1, 3),
         lambda: run_all(RunConfig(-1)),
     ],
     ids=[
@@ -797,7 +796,6 @@ WRAPPED_SUITES = [
         "overpartitions",
         "m-routes",
         "uncorrected-exponent",
-        "bad-exponent-counterexample",
         "run-all",
     ],
 )
@@ -927,9 +925,8 @@ def test_run_config_defaults_are_the_verify_cli_defaults():
         config.n_max,
         config.k_range,
         config.ell_range,
-        config.all_residues,
         config.enum_cap,
-    ) == (60, (1, 4), (1, 3), True, 30)
+    ) == (60, (1, 4), (1, 3), 30)
 
 
 def test_report_jsonable_reads_the_report_and_case_fields():
