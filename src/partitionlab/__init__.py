@@ -53,7 +53,6 @@ from .verify import (
     reports_to_json,
     run_all,
     uncorrected_exponent_report,
-    verify_gen17,
 )
 
 __version__ = "0.1.0"
@@ -104,5 +103,4 @@ __all__ = [
     "theta_truncated",
     "triangular_number",
     "uncorrected_exponent_report",
-    "verify_gen17",
 ]

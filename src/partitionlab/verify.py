@@ -240,7 +240,9 @@ TRIANGULAR = ThetaFamily(
     main=lambda tables, k, n_max: tables.get("c_k_table", k, n_max).coeffs,
     remainder=_theta_remainder,
 )
-# the diagnostic main term [k | n] * c_k(n) of verify_gen17(indicator_form=True)
+# the indicator variant, main term [k | n] * c_k(n): no suite checks it,
+# as it fails exactly where k does not divide n and c_k(n) != 0 (first at
+# k=3, n=5)
 TRIANGULAR_INDICATOR = TRIANGULAR._replace(
     main=lambda tables, k, n_max: [
         c if n % k == 0 else 0
@@ -282,36 +284,21 @@ def _trunc_corollary_cells(tables, config):
         yield from _infsum_cells("Trunc-infsum", PENTAGONAL, tables, k, n_max)
 
 
-def _gen17_cells(tables, config, family=TRIANGULAR):
+def _gen17_cells(tables, config):
+    """Truncated theta identity: the alternating triangular b_k sum minus
+    c_k(n), signed, equals the convolution sum_j c_k(j) MP_ell(n-j); plus
+    its nonnegativity and full-sum corollaries."""
     n_max = config.n_max
     for k in config.ks():
         # the bilateral cells are checked once per ell, after its own cells
-        infsum = list(_infsum_cells("Gen17-infsum", family, tables, k, n_max))
+        infsum = list(_infsum_cells("Gen17-infsum", TRIANGULAR, tables, k, n_max))
         for ell in config.ells():
-            rhs = family.remainder(tables, k, ell, n_max)
-            lhs = family.lhs(tables, k, ell, n_max)
+            rhs = TRIANGULAR.remainder(tables, k, ell, n_max)
+            lhs = TRIANGULAR.lhs(tables, k, ell, n_max)
             for n in range(n_max + 1):
                 yield "Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n]
                 yield "Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0
             yield from infsum
-
-
-def verify_gen17(k, ell, n_max, indicator_form=False):
-    """Truncated theta identity: the alternating triangular b_k sum minus
-    c_k(n), signed, equals the convolution sum_j c_k(j) MP_ell(n-j); plus
-    its nonnegativity and full-sum corollaries.
-
-    indicator_form=True replaces the subtrahend c_k(n) by [k | n]*c_k(n);
-    that variant provably fails for k >= 3 (e.g. k=3, n=5) and is kept as
-    a diagnostic, not as the default identity.
-    """
-    config = RunConfig(n_max, (k, k), (ell, ell))
-    family = TRIANGULAR_INDICATOR if indicator_form else TRIANGULAR
-    return _report(
-        "gen17",
-        dict(_k_ell_range(config), indicator_form=indicator_form),
-        _gen17_cells(_own_store(config), config, family),
-    )
 
 
 # ---------------------------------------------------------------------------

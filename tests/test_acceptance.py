@@ -17,12 +17,7 @@ from partitionlab.enumeration import (
 )
 from partitionlab.series import euler_product, pentagonal_series
 from partitionlab.stats import c_k_table, m_ell_table, mp_ell_table, p_table
-from partitionlab.verify import (
-    RunConfig,
-    run_all,
-    uncorrected_exponent_report,
-    verify_gen17,
-)
+from partitionlab.verify import RunConfig, run_all, uncorrected_exponent_report
 
 
 def check(number, label, ok, detail=""):
@@ -88,26 +83,20 @@ def test_criterion_04_pentagonal_truncation():
 
 
 def test_criterion_05_theta_truncation():
-    ok = True
-    detail = []
-    for k in range(1, 5):
-        for ell in range(1, 4):
-            r = verify_gen17(k, ell, 120)
-            if not r.passed:
-                ok = False
-                detail.append((k, ell, r.failures[:2]))
+    (report,) = run_all(RunConfig(120, (1, 4), (1, 3)), suites={"gen17"})
     check(
         5,
         "theta truncation identity and both corollaries (n<=120, k<=4, ell<=3)",
-        ok,
-        str(detail),
+        report.passed,
+        str(report.failures[:3]),
     )
 
 
 def test_criterion_06_exponent_correction():
     first = uncorrected_exponent_report(60).first_failure
     witness = None if first is None else (first.params["n"], first.params["ell"])
-    corrected_ok = all(verify_gen17(2, ell, 60).passed for ell in (1, 2, 3))
+    (corrected,) = run_all(RunConfig(60, (2, 2), (1, 3)), suites={"gen17"})
+    corrected_ok = corrected.passed
     (report,) = run_all(RunConfig(60, ell_range=(1, 3)), suites={"bad-exponent"})
     recorded = report.passed and not report.failures
     check(

@@ -14,7 +14,7 @@ import pytest
 
 import partitionlab
 from oracles import parse_table_csv
-from partitionlab import cli, stats
+from partitionlab import cli, stats, verify
 from partitionlab.series import TruncatedSeries
 
 
@@ -415,6 +415,33 @@ def test_bad_exponent_sweeps_ell_from_1(capsys):
     report = json.loads(out)[-1]
     assert (code, report["suite"]) == (0, "bad-exponent")
     assert report["range"]["ell"] == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "args,n_max,ell_max",
+    [
+        pytest.param([], 60, 3, id="default"),
+        pytest.param(
+            ["--n-max", "30", "--k", "2..3", "--ell", "2..3", "--enum-cap", "12"],
+            30,
+            3,
+            id="small",
+        ),
+    ],
+)
+def test_verify_suite_prints_its_entry_of_verify_all(capsys, args, n_max, ell_max):
+    # a suite run alone reports what verify all reports for it, except
+    # bad-exponent, which alone prints the raw sweep of the wrong sign
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "json", *args)
+    assert code == 0
+    entries = {report["suite"]: report for report in json.loads(out)}
+    for suite in verify.SUITE_ORDER:
+        if suite != "bad-exponent":
+            code, out, _ = run_cli(capsys, "verify", suite, "--format", "json", *args)
+            assert (code, out) == (0, verify.canonical_json([entries[suite]])), suite
+    code, out, _ = run_cli(capsys, "verify", "bad-exponent", "--format", "json", *args)
+    raw = verify.uncorrected_exponent_report(n_max, ell_max)
+    assert (code, out) == (1, verify.reports_to_json([raw]))
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--subset-cap"])

@@ -124,7 +124,6 @@ ROUTE_MODULES = ("series.py", "kernels.py", "cli.py", "verify.py")
 # (module, function) -> why it stays in the package with no caller there
 NO_CALLER_KEPT = {
     ("kernels.py", "ab_stat_sums"): "perfbench/tracer.py wraps it by name",
-    ("verify.py", "verify_gen17"): "the README's indicator-form diagnostic",
 }
 
 

@@ -14,7 +14,6 @@ from partitionlab.verify import (
     reports_to_json,
     run_all,
     uncorrected_exponent_report,
-    verify_gen17,
 )
 
 # ---------------------------------------------------------------------------
@@ -45,7 +44,8 @@ def test_trunc_corollaries_pass():
 
 @pytest.mark.parametrize("k,ell", [(1, 1), (2, 2), (3, 1), (4, 3)])
 def test_gen17_passes(k, ell):
-    assert verify_gen17(k, ell, 60).passed
+    (report,) = run_all(RunConfig(60, (k, k), (ell, ell)), suites={"gen17"})
+    assert report.passed
 
 
 def test_overpartition_identities_pass():
@@ -138,19 +138,43 @@ def test_theta_remainder_matches_its_dense_sum(n_max):
             assert remainder == theta_remainder(k, ell, n_max).coeffs, (k, ell)
 
 
+def test_triangular_indicator_fails_where_c_k_is_nonzero_off_the_multiples():
+    # restricting the main term to multiples of k breaks the identity and
+    # its bilateral sum exactly where k does not divide n and c_k(n) != 0:
+    # nowhere for k <= 2 (c_2 vanishes on odd n), first at k=3, n=5
+    family, n_max = verify.TRIANGULAR_INDICATOR, 60
+    tables = stats.TableStore(n_max)
+    first = {}
+    for k in range(1, 6):
+        c_k = stats.c_k_table(k, n_max)
+        expected = [n for n in range(n_max + 1) if n % k and c_k[n]]
+        infsum = family.bilateral_sum(tables, k, n_max)
+        main = family.main(tables, k, n_max)
+        assert [n for n in range(n_max + 1) if infsum[n] != main[n]] == expected
+        for ell in range(1, 4):
+            lhs = family.lhs(tables, k, ell, n_max)
+            rhs = family.remainder(tables, k, ell, n_max)
+            assert [n for n in range(n_max + 1) if lhs[n] != rhs[n]] == expected
+        first[k] = expected[:1]
+    assert first == {1: [], 2: [], 3: [5], 4: [6], 5: [7]}
+
+
 def test_gen17_displayed_indicator_variant_fails_for_k3():
     # restricting the subtrahend to multiples of k breaks the identity
     # as soon as c_k is nonzero off the multiples; first cell: k=3, n=5
-    report = verify_gen17(3, 1, 10, indicator_form=True)
-    assert not report.passed
-    first = report.failures[0]
-    assert first.identity_id == "Gen17-eq"
-    assert first.params["n"] == 5
+    family, tables = verify.TRIANGULAR_INDICATOR, stats.TableStore(10)
+    lhs = family.lhs(tables, 3, 1, 10)
+    rhs = family.remainder(tables, 3, 1, 10)
+    assert [n for n in range(11) if lhs[n] != rhs[n]][0] == 5
 
 
 def test_gen17_indicator_variant_is_identical_for_k2():
     # c_2 vanishes on odd arguments, so the indicator is a no-op there
-    assert verify_gen17(2, 2, 40, indicator_form=True).passed
+    family, tables = verify.TRIANGULAR_INDICATOR, stats.TableStore(40)
+    indicator_main = family.main(tables, 2, 40)
+    assert indicator_main == list(verify.TRIANGULAR.main(tables, 2, 40))
+    lhs = family.lhs(tables, 2, 2, 40)
+    assert list(lhs) == list(family.remainder(tables, 2, 2, 40))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +251,6 @@ FAILING_CELL_ORDER = [
         "81627511c334c94e793966f7b2c86505788eb0c3b32784435f1e94c210097ab4",
         id="uncorrected-exponent",
     ),
-    pytest.param(
-        lambda: [verify_gen17(3, 1, 12, indicator_form=True)],
-        "0f25f024fde2c00b5b3478aba4d5eae67a65019b07667acfa8d5f05341a4c240",
-        id="gen17-indicator",
-    ),
 ]
 
 
@@ -272,7 +291,7 @@ def test_corrupted_mp_entry_fails_gen17_from_i_plus_k(monkeypatch, k, ell, i):
         return TruncatedSeries(values)
 
     monkeypatch.setattr(stats, "mp_ell_table", corrupted)
-    report = verify_gen17(k, ell, 30)
+    (report,) = run_all(RunConfig(30, (k, k), (ell, ell)), suites={"gen17"})
     c_k = stats.c_k_table(k, 30)
     assert {c.identity_id for c in report.failures} == {"Gen17-eq"}
     assert report.first_failure.params == {"k": k, "ell": ell, "n": i + k}
@@ -540,7 +559,8 @@ class Unmultiplied(TruncatedSeries):
 
 def test_no_suite_multiplies_c_k(monkeypatch):
     # the theta remainder reads c_k * MP_ell as k_weighted(Q(q^2) MP_ell),
-    # so no c_k table enters a product, on either side
+    # so no c_k table enters a product, on either side, nor the indicator
+    # variant's main term
     real = stats.c_k_table
 
     def unmultiplied(*args, **kwargs):
@@ -550,7 +570,9 @@ def test_no_suite_multiplies_c_k(monkeypatch):
     reports = run_all(RunConfig(n_max=60, k_range=(1, 5)))
     assert all(r.passed for r in reports)
     assert not uncorrected_exponent_report(30, 3).passed
-    assert not verify_gen17(3, 1, 12, indicator_form=True).passed
+    indicator, tables = verify.TRIANGULAR_INDICATOR, stats.TableStore(12)
+    assert indicator.lhs(tables, 3, 1, 12) != indicator.remainder(tables, 3, 1, 12)
+    assert indicator.main(tables, 3, 12)[5] == 0
 
 
 def count_identity_cases(monkeypatch):
@@ -750,9 +772,8 @@ def full_run_row(suite_id, config, row_id=None):
     return pytest.param(in_a_full_run, config, id=row_id or suite_id)
 
 
-# each row: a call that runs a suite inside a wider entry point
-# (verify_gen17, or run_all over every suite), and the run_all config of
-# that suite alone
+# each row: a call that runs a suite inside a run of every suite, and
+# the run_all config of that suite alone
 WRAPPED_SUITES = [
     full_run_row("thmgf", RunConfig(n_max=36, k_range=(1, 3), enum_cap=36)),
     full_run_row("thmcomb", RunConfig(n_max=30, k_range=(1, 4))),
@@ -760,11 +781,7 @@ WRAPPED_SUITES = [
     full_run_row(
         "trunc-corollaries", RunConfig(n_max=30, k_range=(3, 3), ell_range=(1, 4))
     ),
-    pytest.param(
-        lambda: verify_gen17(3, 2, 30),
-        RunConfig(n_max=30, k_range=(3, 3), ell_range=(2, 2)),
-        id="gen17",
-    ),
+    full_run_row("gen17", RunConfig(n_max=30, k_range=(3, 3), ell_range=(2, 2))),
     full_run_row("overpartitions", RunConfig(n_max=32, k_range=(2, 2), enum_cap=32)),
     full_run_row("m-routes", RunConfig(n_max=30, ell_range=(1, 3))),
     full_run_row("bad-exponent", RunConfig(n_max=30, ell_range=(1, 3))),
@@ -781,7 +798,7 @@ WRAPPED_SUITES = [
         lambda: run_all(RunConfig(-1), suites={"thmcomb"}),
         lambda: run_all(RunConfig(-1), suites={"trunc"}),
         lambda: run_all(RunConfig(-1), suites={"trunc-corollaries"}),
-        lambda: verify_gen17(1, 2, -1),
+        lambda: run_all(RunConfig(-1), suites={"gen17"}),
         lambda: run_all(RunConfig(-1), suites={"overpartitions"}),
         lambda: run_all(RunConfig(-1), suites={"m-routes"}),
         lambda: uncorrected_exponent_report(-1, 3),
@@ -813,14 +830,10 @@ def test_wrappers_agree_with_run_all(monkeypatch, wrapper, config, faulty):
         corrupt_b_tables(monkeypatch)
     wrapped = wrapper()
     (full,) = run_all(config, suites={wrapped.suite_id})
-    expected_range = dict(full.range_desc)
-    if wrapped.suite_id == "gen17":
-        # the wrapper's diagnostic indicator form, which run_all never uses
-        expected_range["indicator_form"] = False
     if wrapped.suite_id == "thmcomb":
         # thmcomb records no all_residues, as it never did
         assert "all_residues" not in wrapped.range_desc
-    assert wrapped.range_desc == expected_range
+    assert wrapped.range_desc == full.range_desc
     assert (wrapped.total, wrapped.failures) == (full.total, full.failures)
 
 
@@ -889,8 +902,6 @@ def test_a_k_free_suite_reads_no_k(suite):
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n_max=-1).validate()
-    with pytest.raises(ValueError):
-        RunConfig(k_range=(0, 2)).validate()
     # a k above n_max is a cell like any other
     RunConfig(n_max=2, k_range=(1, 5)).validate()
 
@@ -908,10 +919,13 @@ def test_config_validation():
             ValueError,
             "enum_cap must be >= 0",
         ),
-        (lambda: verify_gen17(0, 2, 10), ValueError, "k values must be >= 1"),
-        (lambda: verify_gen17(1, 0, 10), ValueError, "ell values must be >= 1"),
+        (
+            lambda: RunConfig(k_range=(0, 2)).validate(),
+            ValueError,
+            "k values must be >= 1",
+        ),
     ],
-    ids=["ell", "enum-cap", "gen17-k", "gen17-ell"],
+    ids=["ell", "enum-cap", "k"],
 )
 def test_run_config_rejects_bad_input(call, error, message):
     with pytest.raises(error, match=message):
