@@ -8,14 +8,12 @@ identities connecting them, over user-chosen parameter ranges.
 
 from .enumeration import (
     OverpartitionMarked,
-    a_k,
     a_kp,
     b_k,
     c_subsets,
     m_ell,
     mp_ell,
     mp_ell_verbal,
-    mp_verbal_discrepancies,
     overpartitions_a,
     overpartitions_p,
     part_multiplicities,
@@ -35,7 +33,6 @@ from .series import (
     triangular_number,
 )
 from .stats import (
-    a_k_table,
     a_kp_table,
     b_k_table,
     c_k_table,
@@ -68,8 +65,6 @@ __all__ = [
     "TruncatedSeries",
     "VerificationReport",
     "__version__",
-    "a_k",
-    "a_k_table",
     "a_kp",
     "a_kp_table",
     "b_k",
@@ -85,7 +80,6 @@ __all__ = [
     "mp_ell",
     "mp_ell_table",
     "mp_ell_verbal",
-    "mp_verbal_discrepancies",
     "overpartitions_a",
     "overpartitions_p",
     "p_table",

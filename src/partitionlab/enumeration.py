@@ -5,7 +5,7 @@ definitions by counting objects (partitions, marked overpartitions,
 subsets), independently of the series machinery in `stats`.  The a/b
 statistics come from a dynamic program over part values that adds up
 every partition of each total at once (`stat_sum_tables`); each of the
-lookups `a_kp`, `a_k` and `b_k` runs one such pass, so callers that need
+lookups `a_kp` and `b_k` runs one such pass, so callers that need
 many values call `stat_sum_tables` once and index its tables.  The
 module keeps no state between calls.  The marked-overpartition counts
 come from one depth-first walk over every partition of every total up
@@ -178,11 +178,6 @@ def a_kp(n, k, p):
     if not 0 <= p < k:
         raise ValueError("need 0 <= p < k")
     return stat_sum_tables(n, k)[0][k - 1][p][n]
-
-
-def a_k(n, k):
-    """Total over all partitions of n of the distinct part values divisible by k."""
-    return a_kp(n, k, 0)
 
 
 def b_k(n, k):
@@ -436,16 +431,3 @@ def mp_ell_verbal(n, ell):
         count += 1
     return count
 
-
-def mp_verbal_discrepancies(ell, n_max, series_values):
-    """List (n, verbal count, series value) wherever the two disagree.
-
-    series_values must cover 0..n_max (e.g. stats.mp_ell_table(ell, n_max)
-    .coeffs); the series side is the authoritative one.
-    """
-    out = []
-    for n in range(1, n_max + 1):
-        verbal = mp_ell_verbal(n, ell)
-        if verbal != series_values[n]:
-            out.append((n, verbal, series_values[n]))
-    return out

@@ -206,16 +206,9 @@ def pentagonal_number(j):
     return j * (3 * j - 1) // 2
 
 
-def pentagonal_series(order, ell=None):
-    """sum_j (-1)^j q^(j(3j-1)/2) over j = -(ell-1)..ell.
-
-    ell=None means ell = order + 1: every exponent is at least |j|, so
-    that truncation holds every term of degree <= order, and by Euler's
-    pentagonal number theorem the sum equals euler_product(order).
-    """
+def pentagonal_series(order, ell):
+    """sum_j (-1)^j q^(j(3j-1)/2) over j = -(ell-1)..ell."""
     c = _zeros(order)
-    if ell is None:
-        ell = order + 1
     if ell < 1:
         raise ValueError("ell must be >= 1")
     for j in range(-(ell - 1), ell + 1):

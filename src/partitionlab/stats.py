@@ -144,11 +144,6 @@ def a_kp_table(k, p, n_max, *, tables=None):
     return numerator.div_binomial(-1, k).div_binomial(-1, k)
 
 
-def a_k_table(k, n_max, *, tables=None):
-    """a_k(n): total of distinct part values divisible by k (p = 0 case)."""
-    return a_kp_table(k, 0, n_max, tables=tables)
-
-
 def c_k_table(k, n_max, *, tables=None):
     """c_k(n) = sum_{j=1..floor(n/k)} j * Q((n-kj)/2), zero terms whenever
     (n-kj)/2 is not a nonnegative integer; Q(0) = 1 is included.
@@ -185,8 +180,7 @@ def _m_ell_from_gaussian(ell, n_max):
             term = inv_poch.mul_binomial(-1, m - 1).div_binomial(-1, 1)
         else:
             term = inv_poch * binom
-        term = term.shifted(exponent)
-        out = [s + t for s, t in zip(out, term.coeffs)]
+        out[exponent:] = [s + t for s, t in zip(out[exponent:], term.coeffs)]
         # advance both running factors from m to m+1:
         # [m, ell-1] = [m-1, ell-1] * (1-q^m)/(1-q^(m-ell+1))
         binom = binom.mul_binomial(-1, m).div_binomial(-1, m - ell + 1)

@@ -163,7 +163,7 @@ def _thmcomb_cells(tables, config):
         order = n_max + k + 1  # the shifted identity reads b_k(n + k - p)
         b_tab = tables.get("b_k_table", k, order)
         b = b_tab.coeffs
-        a0 = tables.get("a_k_table", k, order).coeffs
+        a0 = tables.get("a_kp_table", k, 0, order).coeffs
         for n in range(1, n_max + 1):
             yield "ThmComb-1", {"k": k, "n": n}, a0[n], k * b[n]
         for p in range(1, k):
@@ -318,7 +318,7 @@ def _bad_exponent_cells(tables, n_max, ell_max):
             yield "BadExponent", params, lhs[ell][n], rhs[ell][n]
 
 
-def uncorrected_exponent_report(n_max, ell_max=3):
+def uncorrected_exponent_report(n_max, ell_max):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
     config = RunConfig(n_max, (2, 2), (1, ell_max))
@@ -440,14 +440,13 @@ SUITES = {
 SUITE_ORDER = tuple(SUITES)
 
 
-def run_all(config=None, suites=None):
+def run_all(config, suites=None):
     """Run every verification suite (or those named in suites) at the
     configured ranges, one after another over one TableStore.
 
     Reports come back in SUITE_ORDER, so identical configs yield
     identical output.
     """
-    config = config or RunConfig()
     tables = _own_store(config)
     return [
         _report(sid, describe(config), cells(tables, config))

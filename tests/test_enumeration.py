@@ -8,14 +8,12 @@ import pytest
 from partitionlab import enumeration
 from partitionlab.enumeration import (
     OverpartitionMarked,
-    a_k,
     a_kp,
     b_k,
     c_subsets,
     m_ell,
     mp_ell,
     mp_ell_verbal,
-    mp_verbal_discrepancies,
     overpartition_counts,
     overpartitions_a,
     overpartitions_p,
@@ -102,7 +100,6 @@ def test_part_multiplicities():
 
 
 def test_reference_statistics_at_5():
-    assert a_k(5, 3) == 6
     assert a_kp(5, 3, 0) == 6
     assert a_kp(5, 3, 1) == 9
     assert a_kp(5, 3, 2) == 11
@@ -121,9 +118,12 @@ def test_b_vanishes_below_k(k):
 
 
 def test_a_k_equals_residue_zero():
+    # the paper's a_k(n), the distinct part values divisible by k, read
+    # off each partition, is the residue p = 0 of a_{k,p}
     for n in range(1, 25):
         for k in range(1, 6):
-            assert a_k(n, k) == a_kp(n, k, 0)
+            total = sum(v for parts in partitions(n) for v in set(parts) if v % k == 0)
+            assert total == a_kp(n, k, 0)
 
 
 def test_residue_sums_recover_total():
@@ -134,12 +134,12 @@ def test_residue_sums_recover_total():
         total = A[0][0][n]
         for k in range(2, 7):
             assert sum(A[k - 1][p][n] for p in range(k)) == total
-    assert a_k(40, 1) == total
+    assert a_kp(40, 1, 0) == total
 
 
 def test_statistics_domain_validation():
     with pytest.raises(ValueError):
-        a_k(0, 3)
+        a_kp(0, 3, 0)
     with pytest.raises(ValueError):
         a_kp(5, 3, 3)
     with pytest.raises(ValueError):
@@ -312,7 +312,7 @@ def test_overlined_totals_equal_a_statistic():
     for k in (1, 2, 3):
         for n in range(1, 16):
             total = sum(o.overlined for o in overpartitions_p(n, k))
-            assert total == a_k(n, k)
+            assert total == a_kp(n, k, 0)
 
 
 def test_overpartition_counts_match_the_generators():
@@ -395,7 +395,11 @@ def test_mp_verbal_discrepancies_are_reported():
     from partitionlab.stats import mp_ell_table
 
     table = mp_ell_table(3, 21).coeffs
-    reported = mp_verbal_discrepancies(3, 21, table)
+    reported = [
+        (n, verbal, table[n])
+        for n in range(1, 22)
+        if (verbal := mp_ell_verbal(n, 3)) != table[n]
+    ]
     assert (5, 3, 0) in reported
     # every discrepancy really is a disagreement
     for n, verbal, series in reported:

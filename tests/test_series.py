@@ -208,7 +208,9 @@ def test_pentagonal_numbers():
 
 
 def test_pentagonal_series_unbounded():
-    assert pentagonal_series(7).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
+    # every exponent is at least |j|, so ell = order + 1 keeps every term
+    # of degree <= order
+    assert pentagonal_series(7, 8).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
 
 
 def test_pentagonal_series_bounded():
@@ -222,14 +224,15 @@ def test_pentagonal_series_bounded():
 
 def test_pentagonal_series_equals_euler_product():
     for order in (50, 400):
-        assert pentagonal_series(order) == euler_product(order)
+        assert pentagonal_series(order, order + 1) == euler_product(order)
 
 
 @pytest.mark.parametrize("order", range(13))
 def test_pentagonal_series_default_at_edge_orders(order):
-    # the default sum reaches every pentagonal exponent up to the order,
-    # down to order 0, where only the constant term is left
-    assert pentagonal_series(order).coeffs == pentagonal_sign_expansion(order)
+    # the sum at ell = order + 1 reaches every pentagonal exponent up to
+    # the order, down to order 0, where only the constant term is left
+    expected = pentagonal_sign_expansion(order)
+    assert pentagonal_series(order, order + 1).coeffs == expected
 
 
 # ---------------------------------------------------------------------------

@@ -166,34 +166,78 @@ def call_sets(call, params, name):
     return name in params and params.index(name) < len(call.args)
 
 
-def test_every_defaulted_parameter_is_set_by_a_package_call():
-    # an option that no call in the package sets has one value in use;
-    # functions that no package code calls by name are the public API
-    trees = {
-        path.name: tree for path, tree in package_trees() if path.name != "__init__.py"
-    }
+def call_leaves_out(call, params, name):
+    """Whether call may leave the parameter name at its default."""
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    splat = any(kw.arg is None for kw in call.keywords)
+    return starred or splat or not call_sets(call, params, name)
+
+
+def package_calls(trees):
+    """The module-level functions of the package, keyed (module, name),
+    and the calls that package code makes of each: by a bare name defined
+    in or imported into the calling module, or as an attribute of a
+    partitionlab module, such as verify.run_all.  A method call such as
+    family.main(...) calls no module function."""
     functions = {
-        node.name: node
-        for tree in trees.values()
+        (module, node.name): node
+        for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
     }
     calls = {}
-    for tree in trees.values():
+    for module, tree in trees.items():
+        names = {name: (module, name) for m, name in functions if m == module}
+        modules = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module is None:
+                        modules[bound] = alias.name
+                    else:
+                        names[bound] = (node.module, alias.name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in functions:
-                    calls.setdefault(name, []).append(node)
-    unset = []
-    for name, found in calls.items():
-        args = functions[name].args
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                key = names.get(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                key = (modules.get(func.value.id), func.attr)
+            else:
+                key = None
+            if key in functions:
+                calls.setdefault(key, []).append(node)
+    return functions, calls
+
+
+# (function, parameter) -> why its default stays although no package call
+# both sets it and leaves it out
+DEFAULT_KEPT = {
+    ("main", "argv"): "the console script calls main(), and tests pass argv",
+}
+
+
+def test_every_default_has_both_values_in_use():
+    # a default that no package call sets is the only value in use, and one
+    # that every package call overrides is a value only tests use;
+    # functions that no package code calls are the public API
+    trees = {
+        path.stem: tree for path, tree in package_trees() if path.name != "__init__.py"
+    }
+    functions, calls = package_calls(trees)
+    one_sided = []
+    for key, found in calls.items():
+        args = functions[key].args
         params = [a.arg for a in args.posonlyargs + args.args]
         defaulted = params[len(params) - len(args.defaults) :] + [
             a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
         ]
         for param in defaulted:
-            if not any(call_sets(call, params, param) for call in found):
-                unset.append("%s.%s" % (name, param))
-    assert unset == []
+            if not (
+                any(call_sets(call, params, param) for call in found)
+                and any(call_leaves_out(call, params, param) for call in found)
+            ):
+                one_sided.append((key[1], param))
+    assert sorted(one_sided) == sorted(DEFAULT_KEPT)

@@ -15,7 +15,6 @@ from partitionlab.series import (
     theta_truncated,
 )
 from partitionlab.stats import (
-    a_k_table,
     a_kp_table,
     b_k_table,
     c_k_table,
@@ -63,7 +62,7 @@ def test_b_table_matches_enumeration(k):
 
 
 def test_a_table_reference_values():
-    assert a_k_table(3, 6)[5] == 6
+    assert a_kp_table(3, 0, 6)[5] == 6
     assert a_kp_table(3, 1, 6)[5] == 9
     assert a_kp_table(3, 2, 6)[5] == 11
 
@@ -132,14 +131,14 @@ def test_a_total_closed_form():
         TruncatedSeries.one(order).mul_binomial(-1, 1).mul_binomial(-1, 1).invert()
     )
     total = partition_gf(order) * TruncatedSeries.monomial(1, 1, order) * inv_sq
-    assert a_k_table(1, order).coeffs == total.coeffs
+    assert a_kp_table(1, 0, order).coeffs == total.coeffs
 
 
 def test_linear_relations_between_a_and_b():
     order = 60
     for k in range(1, 9):
         b = b_k_table(k, order + k + 1)
-        a0 = a_k_table(k, order + k + 1)
+        a0 = a_kp_table(k, 0, order + k + 1)
         for n in range(1, order + 1):
             assert a0[n] == k * b[n]
         for p in range(1, k):
@@ -152,7 +151,7 @@ def test_linear_relations_between_a_and_b():
 def test_three_term_b2_recurrence():
     # total statistic as a three-term window of the k=2 b-statistic
     order = 50
-    a1 = a_k_table(1, order + 2)
+    a1 = a_kp_table(1, 0, order + 2)
     b2 = b_k_table(2, order + 2)
     for n in range(1, order + 1):
         assert a1[n] == b2[n + 1] + 2 * b2[n] + b2[n - 1]
@@ -375,7 +374,6 @@ BUILDERS = {
     "p_table": ((), ("partition_gf",)),
     "q_table": ((), ("distinct_parts_gf",)),
     "a_kp_table": ((3, 1), ("partition_gf",)),
-    "a_k_table": ((2,), ("partition_gf",)),
     "b_k_table": ((2,), ("partition_gf",)),
     "c_k_table": ((3,), ("q_squared_gf",)),
     "m_ell_table": ((2,), ()),  # the Gaussian sum reads no base series
