@@ -4,19 +4,22 @@ Everything in this module computes statistics from their verbal
 definitions by counting objects (partitions, marked overpartitions,
 subsets), independently of the series machinery in `stats`.  The a/b
 statistics come from a dynamic program over part values that adds up
-every partition of each total at once (`stat_sum_tables`); each of the
-lookups `a_kp` and `b_k` runs one such pass, so callers that need
-many values call `stat_sum_tables` once and index its tables.  The
-module keeps no state between calls.  The marked-overpartition counts
-come from one depth-first walk over every partition of every total up
-to a bound, in multiplicity form, that counts the marked objects of each
-partition in closed form (`overpartition_counts`); the generators
-`overpartitions_p` and `overpartitions_a` build the objects themselves
-and are its oracle.  The other statistics walk the objects one by one.
-Partitions are represented as weakly decreasing tuples of positive
-integers; the empty tuple is the single partition of 0.  `partitions`
-walks them with the ZS1 generator of Zoghbi & Stojmenovic, in constant
-amortized time per partition besides the copy of each yielded tuple.
+every partition of each total at once, with the count and every a/b
+row packed as fields of one int per total (`stat_sum_tables`); each of
+the lookups `a_kp` and `b_k` runs one such pass, so callers that need
+many values call `stat_sum_tables` once and index its tables, as one
+`verify` run does for all its suites.  The module keeps no state
+between calls.  The marked-overpartition counts come from one
+depth-first walk over every partition of every total up to a bound, in
+multiplicity form, that counts the marked objects of each partition in
+closed form and makes one call per partition whose parts are all >= 3
+(`overpartition_counts`); the generators `overpartitions_p` and
+`overpartitions_a` build the objects themselves and are its oracle.
+The other statistics walk the objects one by one.  Partitions are
+represented as weakly decreasing tuples of positive integers; the
+empty tuple is the single partition of 0.  `partitions` walks them with
+the ZS1 generator of Zoghbi & Stojmenovic, in constant amortized time
+per partition besides the copy of each yielded tuple.
 
 The walks over partitions (`m_ell`, `q_distinct`, `mp_ell`,
 `mp_ell_verbal`) stop at n = PARTITION_SWEEP_CAP and the subset count
@@ -124,40 +127,51 @@ def stat_sum_tables(n_max, k_max):
     with A[k-1][p][n] = a_{k,p}(n) and B[k-1][n] = b_k(n).
 
     One dynamic-programming pass over the part values v = 1..n_max.
-    After value v, entry r of each list aggregates the partitions of r
-    whose parts are all <= v: their number, and the totals of their
-    distinct values per residue class and per multiplicity bound.
-    Admitting v with multiplicity m maps the partitions of r - m*v onto
-    those of r, so every list becomes its own sum over m >= 0.  The
-    value v itself then adds v once for each partition with m >= 1 to
+    After value v, entry r aggregates the partitions of r whose parts
+    are all <= v: their number C[r], and the totals of their distinct
+    values per residue class and per multiplicity bound.  Admitting v
+    with multiplicity m maps the partitions of r - m*v onto those of r,
+    so every entry r becomes its own sum over m >= 0.  The value v
+    itself then adds v once for each partition with m >= 1 to
     A[k-1][v mod k], and once for each with m >= k to B[k-1]; with the
-    new counts C those numbers are C[r - v] and C[r - k*v].
+    new counts those numbers are C[r - v] and C[r - k*v].
+
+    The count and every A and B row are packed as fields of one int per
+    total, so the sum over m is one big-int add per (v, r), the A terms
+    of every k are one multiply-add per r, and the B terms one per
+    (k, r).  No field ever carries into the next: every value at a
+    total r <= n_max is at most n_max p(n_max).  One `verify` run makes
+    one pass, which its suites share.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     size = n_max + 1
-    count = [1] + [0] * n_max
-    A = [[[0] * size for _ in range(k)] for k in range(1, k_max + 1)]
-    B = [[0] * size for _ in range(k_max)]
-    rows = [count] + [row for rows_k in A for row in rows_k] + B
+    p_top = partition_count_table(n_max)[n_max]
+    width = (max(n_max, 1) * p_top).bit_length()
+    field = (1 << width) - 1
+    # field 0 is C; A[k-1][p] is field a_base[k] + p, B[k-1] field b_base + k
+    a_base = [0] + [1 + k * (k - 1) // 2 for k in range(1, k_max + 1)]
+    b_base = a_base[k_max] + k_max - 1
+    packed = [1] + [0] * n_max
     for v in range(1, size):
-        for row in rows:
-            # row[r] += row[r - v] for r ascending, one stride-v block
-            # at a time
-            for lo in range(v, size, v):
-                row[lo : lo + v] = map(int.__add__, row[lo : lo + v], row[lo - v : lo])
-        for k in range(1, k_max + 1):
-            _add_scaled(A[k - 1][v % k], v, count, v)
-            _add_scaled(B[k - 1], v, count, k * v)
+        for r in range(v, size):
+            packed[r] += packed[r - v]
+        a_step = sum(v << ((a_base[k] + v % k) * width) for k in range(1, k_max + 1))
+        for r in range(v, size):
+            packed[r] += (packed[r - v] & field) * a_step
+        for k in range(1, min(k_max, n_max // v) + 1):
+            b_step = v << ((b_base + k) * width)
+            for r in range(k * v, size):
+                packed[r] += (packed[r - k * v] & field) * b_step
+    rows = [
+        [(x >> (i * width)) & field for x in packed]
+        for i in range(b_base + k_max + 1)
+    ]
+    A = [rows[a_base[k] : a_base[k] + k] for k in range(1, k_max + 1)]
+    B = rows[b_base + 1 :]
     return A, B
-
-
-def _add_scaled(row, v, count, shift):
-    # row[r] += v * count[r - shift] for shift <= r <= n_max
-    if shift < len(row):
-        row[shift:] = [x + v * c for x, c in zip(row[shift:], count)]
 
 
 # perfbench/tracer.py wraps this name; the alias goes with the next
@@ -305,14 +319,16 @@ def overpartition_counts(n_max, ks):
     One depth-first walk serves every n and every k.  Its nodes are the
     partitions of every total <= n_max in multiplicity form: a child adds
     a value v smaller than every value of its parent, with multiplicity
-    m >= 1, so each partition is visited once.  The per-k counters (the
+    m >= 1, so each partition is reached once.  The per-k counters (the
     overlined total, d^2 + t, and d) are packed into fields of one int
     each, so a node costs O(1) big-int operations however many ks there
     are.  A value-1 child has no children of its own: the leaves that add
     1 with multiplicity 1, 2, ... to a node of total s are counted without
     a visit, as one entry at s + 1 of a table that is summed up to each n
     at the end (the counters of m >= 2 all equal that of m = 2, one more
-    repeated value), so only the partitions without a part 1 are visited.
+    repeated value).  A value-2 child has only such leaves below it, so
+    its parent books it and its leaves in one loop, without a call: the
+    walk makes one call per partition whose parts are all >= 3.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -336,8 +352,10 @@ def overpartition_counts(n_max, ks):
                 over[v] += v << (i * width)
                 ones[v] += 1 << ((K + i) * width)
                 sel[v] += field << ((K + i) * width)
-    rows = [0] * (n_max + 1)  # the visited nodes, at their own total
-    tail = [0] * (n_max + 2)  # the value-1 leaves, summed up to n at the end
+    rows = [0] * (n_max + 1)  # the visited and booked nodes, at their own total
+    # the value-1 leaves, summed up to n at the end; a value-2 node of
+    # total n_max books two entries past it, which nothing reads
+    tail = [0] * (n_max + 3)
 
     def visit(s, top, counts, d):
         # the partition of total s with smallest value top, counters
@@ -348,7 +366,19 @@ def overpartition_counts(n_max, ks):
             return
         tail[s + 1] += counts + over[1] + ones[1] + ((d & sel[1]) << 1)
         tail[s + 2] += ones[1]
-        for v in range(2, min(top, n_max - s + 1)):
+        if top > 2:
+            # the value-2 children, booked here with their value-1
+            # leaves: after the first, every multiplicity is repeated
+            step = ones[2]
+            child = counts + over[2] + ((d & sel[2]) << 1) + step
+            repeated = child + step
+            leaves = over[1] + ones[1] + (((d + step) & sel[1]) << 1)
+            for t in range(s + 2, n_max + 1, 2):
+                rows[t] += child
+                tail[t + 1] += child + leaves
+                tail[t + 2] += ones[1]
+                child = repeated
+        for v in range(3, min(top, n_max - s + 1)):
             step = ones[v]
             child = counts + over[v] + ((d & sel[v]) << 1) + step
             child_d = d + step

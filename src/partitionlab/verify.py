@@ -129,6 +129,29 @@ def _own_store(config):
     return stats.TableStore(config.series_order())
 
 
+class _RunTables:
+    """What the suites of one run read: the tables of its TableStore,
+    through get, and its one part-value DP pass, through stat_sums, which
+    thmgf and overpartitions share.  Each run makes its own, so nothing
+    outlives the run."""
+
+    def __init__(self, config):
+        self.get = _own_store(config).get
+        self._config = config
+        self._stat_sums = None
+
+    def stat_sums(self):
+        """enumeration.stat_sum_tables up to the enum bound and the largest
+        k, run on the first call.  It is looked up at call time, so a
+        patched or traced replacement is the one that runs."""
+        if self._stat_sums is None:
+            config = self._config
+            self._stat_sums = enumeration.stat_sum_tables(
+                config.enum_n_max(), config.ks()[-1]
+            )
+        return self._stat_sums
+
+
 # ---------------------------------------------------------------------------
 # generating functions vs. enumeration
 
@@ -140,8 +163,9 @@ def _thmgf_cells(tables, config):
     ks = list(config.ks())
     if n_max < 1 or not ks:
         return
-    # one part-value DP pass, independent of the series, serves every cell
-    A, B = enumeration.stat_sum_tables(n_max, max(ks))
+    # the run's one part-value DP pass, independent of the series, serves
+    # every cell
+    A, B = tables.stat_sums()
     for k in ks:
         b = tables.get("b_k_table", k, n_max).coeffs
         a = [tables.get("a_kp_table", k, p, n_max).coeffs for p in range(k)]
@@ -368,14 +392,14 @@ def _overpartition_cells(tables, config):
     and merging colored into overlined parts is k-to-one."""
     # P1 compares one walk over every partition with the part-value DP
     # stat_sum_tables, which walks no partition: two independent counts.
-    # The suite runs its own DP pass, as thmgf does.  P2 builds its
-    # series here from the store's partition series, not from
+    # The suite reads the run's one DP pass, which thmgf shares.  P2
+    # builds its series here from the store's partition series, not from
     # stats.b_k_table, so the suite reads no statistic table of the store
     n_max = config.enum_n_max()
     ks = list(config.ks())
     if n_max < 1 or not ks:
         return
-    A = enumeration.stat_sum_tables(n_max, max(ks))[0]
+    A = tables.stat_sums()[0]
     counts = enumeration.overpartition_counts(n_max, ks)
     gf = tables.get("partition_gf", n_max)
     for k in ks:
@@ -418,8 +442,8 @@ def _k_ell_range(config):
 
 # suite id -> (cells, describe), in report order.  cells(tables, config)
 # yields the suite's (identity_id, params, lhs, rhs) cells, reading its
-# tables from the run's TableStore; describe(config) is the range its
-# report records.
+# tables and its DP pass from the run's _RunTables; describe(config) is
+# the range its report records.
 SUITES = {
     "thmgf": (
         _thmgf_cells,
@@ -442,12 +466,13 @@ SUITE_ORDER = tuple(SUITES)
 
 def run_all(config, suites=None):
     """Run every verification suite (or those named in suites) at the
-    configured ranges, one after another over one TableStore.
+    configured ranges, one after another over one _RunTables: one
+    TableStore and at most one part-value DP pass.
 
     Reports come back in SUITE_ORDER, so identical configs yield
     identical output.
     """
-    tables = _own_store(config)
+    tables = _RunTables(config)
     return [
         _report(sid, describe(config), cells(tables, config))
         for sid, (cells, describe) in SUITES.items()

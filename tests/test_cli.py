@@ -630,6 +630,12 @@ def sha256_of_output(capsys, *argv):
             "dc4a0e7fff692955c3d9e32d6f471aac3892ead27aaa90d38076fefb387a7dfe",
             id="enum-cap-45",
         ),
+        # the packed DP fields and the walk at the sweep cap, 60
+        pytest.param(
+            ["--n-max", "60", "--k", "1..6", "--enum-cap", "60"],
+            "6134b7a73f4b15af28876daa601175ee3c50af3516595a8be9c1b6f4a184db0c",
+            id="enum-cap-60",
+        ),
         # the large config of the ROADMAP's north star
         pytest.param(
             ["--n-max", "240", "--enum-cap", "40", "--k", "1..5"],

@@ -625,6 +625,28 @@ def test_no_table_outlives_a_run(monkeypatch):
     assert all(r.passed for r in run_all(config))
 
 
+def test_a_run_makes_one_statistic_sum_pass(monkeypatch):
+    # thmgf and overpartitions read one stat_sum_tables pass of their
+    # run, and a run of neither makes none
+    calls = Counter()
+    real = enumeration.stat_sum_tables
+
+    def counting(n_max, k_max):
+        calls[(n_max, k_max)] += 1
+        return real(n_max, k_max)
+
+    monkeypatch.setattr(enumeration, "stat_sum_tables", counting)
+    assert all(r.passed for r in run_all(RunConfig()))
+    assert calls == Counter({(30, 4): 1})
+    calls.clear()
+    config = RunConfig(n_max=20, k_range=(2, 3), enum_cap=12)
+    assert run_all(config, suites={"overpartitions"})[0].passed
+    assert calls == Counter({(12, 3): 1})
+    calls.clear()
+    assert run_all(config, suites={"trunc", "thmcomb"})[0].passed
+    assert calls == Counter()
+
+
 def test_no_statistic_sum_outlives_a_run(monkeypatch):
     # thmgf and P1 read the a/b values from a stat_sum_tables pass of
     # their own run, so a DP corrupted between runs fails the next run
