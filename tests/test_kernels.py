@@ -149,6 +149,17 @@ def test_stat_sum_tables_match_the_series():
         assert B[k - 1] == list(b_k_table(k, 60).coeffs), k
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 7, 200])
+def test_stat_sum_tables_fit_their_fields(n_max):
+    # each n_max sizes the packed fields from n_max p(n_max); the small
+    # ones leave the least room above the largest value
+    A, B = stat_sum_tables(n_max, 5)
+    for k in range(1, 6):
+        for p in range(k):
+            assert A[k - 1][p] == list(a_kp_table(k, p, n_max).coeffs), (k, p)
+        assert B[k - 1] == list(b_k_table(k, n_max).coeffs), k
+
+
 def test_stat_sum_tables_domain_errors():
     with pytest.raises(ValueError):
         stat_sum_tables(-1, 3)
