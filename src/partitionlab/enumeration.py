@@ -319,79 +319,79 @@ def overpartition_counts(n_max, ks):
     One depth-first walk serves every n and every k.  Its nodes are the
     partitions of every total <= n_max in multiplicity form: a child adds
     a value v smaller than every value of its parent, with multiplicity
-    m >= 1, so each partition is reached once.  The per-k counters (the
-    overlined total, d^2 + t, and d) are packed into fields of one int
-    each, so a node costs O(1) big-int operations however many ks there
-    are.  A value-1 child has no children of its own: the leaves that add
-    1 with multiplicity 1, 2, ... to a node of total s are counted without
-    a visit, as one entry at s + 1 of a table that is summed up to each n
-    at the end (the counters of m >= 2 all equal that of m = 2, one more
-    repeated value).  A value-2 child has only such leaves below it, so
-    its parent books it and its leaves in one loop, without a call: the
-    walk makes one call per partition whose parts are all >= 3.
+    m >= 1, so each partition is reached once.  A node's counters (per k
+    the overlined total, d^2 + t and d, and a node count of 1) are packed
+    into fields of one int, so a node costs O(1) big-int operations
+    however many ks there are, and the sum of the nodes of one total holds
+    their number and their totals of d.  Parts 1 and 2 take no call.  The
+    children that add 1 with multiplicity 1, 2, ... to the nodes of total
+    s follow from that sum at the end (the counters of m >= 2 all equal
+    that of m = 2, one more repeated value).  The children that add 2
+    to a node of total s are booked as two entries, at s + 2 and s + 4,
+    of a table summed with stride 2 at the end, and their children are
+    the first kind.  So the walk makes one call per partition whose
+    parts are all >= 3.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     ks = sorted(set(ks))
     if ks and ks[0] < 1:
         raise ValueError("k must be >= 1")
+    if not ks:
+        return {}
     # per partition the overlined total is <= n and d^2 + t <= n^2 + n,
     # so each field of a row stays below (n_max + 1)^2 p(n_max)
     p_top = partition_count_table(n_max)[n_max]
     width = ((n_max + 1) ** 2 * p_top).bit_length()
     field = (1 << width) - 1
-    # the overlined total of k sits in field i, d^2 + t (and, in the
-    # second int of a node, d) in field K + i, for the i-th k
+    # for the i-th k, the overlined total sits in field i, d^2 + t in
+    # field K + i and d in field 2K + i; the node count is field 3K
     K = len(ks)
-    over = [0] * (n_max + 2)  # v in the overlined field of each k | v
-    ones = [0] * (n_max + 2)  # 1 in the colored field of each k | v
-    sel = [0] * (n_max + 2)  # the whole colored field of each k | v
-    for v in range(1, n_max + 1):
+    over = [0] * (n_max + 3)  # v in the overlined field of each k | v
+    repeat = [0] * (n_max + 3)  # 1 in the d^2 + t field of each k | v
+    first = [0] * (n_max + 3)  # that, and 1 in the d field of each k | v
+    sel = [0] * (n_max + 3)  # the whole d field of each k | v
+    for v in range(1, n_max + 3):
         for i, k in enumerate(ks):
             if v % k == 0:
                 over[v] += v << (i * width)
-                ones[v] += 1 << ((K + i) * width)
-                sel[v] += field << ((K + i) * width)
-    rows = [0] * (n_max + 1)  # the visited and booked nodes, at their own total
-    # the value-1 leaves, summed up to n at the end; a value-2 node of
-    # total n_max books two entries past it, which nothing reads
-    tail = [0] * (n_max + 3)
+                repeat[v] += 1 << ((K + i) * width)
+                first[v] += (1 << ((K + i) * width)) + (1 << ((2 * K + i) * width))
+                sel[v] += field << ((2 * K + i) * width)
+    twice = K * width - 1  # (x & sel[v]) >> twice is 2d in the d^2 + t fields
+    rows = [0] * (n_max + 1)  # the visited nodes, then every partition
+    twos = [0] * (n_max + 5)  # the value-2 children, summed with stride 2
 
-    def visit(s, top, counts, d):
-        # the partition of total s with smallest value top, counters
-        # packed in counts and d; adding v with d_k distinct multiples
-        # of k so far raises d_k^2 + t_k by 2 d_k + 1, plus 1 if m >= 2
+    def visit(s, top, counts):
+        # the partition of total s with smallest value top; adding v with
+        # d_k distinct multiples of k so far raises d_k^2 + t_k by
+        # 2 d_k + 1, plus 1 if m >= 2
         rows[s] += counts
-        if s == n_max:
-            return
-        tail[s + 1] += counts + over[1] + ones[1] + ((d & sel[1]) << 1)
-        tail[s + 2] += ones[1]
         if top > 2:
-            # the value-2 children, booked here with their value-1
-            # leaves: after the first, every multiplicity is repeated
-            step = ones[2]
-            child = counts + over[2] + ((d & sel[2]) << 1) + step
-            repeated = child + step
-            leaves = over[1] + ones[1] + (((d + step) & sel[1]) << 1)
-            for t in range(s + 2, n_max + 1, 2):
-                rows[t] += child
-                tail[t + 1] += child + leaves
-                tail[t + 2] += ones[1]
-                child = repeated
+            twos[s + 2] += counts + over[2] + ((counts & sel[2]) >> twice) + first[2]
+            twos[s + 4] += repeat[2]
         for v in range(3, min(top, n_max - s + 1)):
-            step = ones[v]
-            child = counts + over[v] + ((d & sel[v]) << 1) + step
-            child_d = d + step
-            visit(s + v, v, child, child_d)
-            child += step
+            child = counts + over[v] + ((counts & sel[v]) >> twice) + first[v]
+            visit(s + v, v, child)
+            child += repeat[v]
             for t in range(s + 2 * v, n_max + 1, v):
-                visit(t, v, child, child_d)
+                visit(t, v, child)
 
-    visit(0, n_max + 1, 0, 0)
-    total = 0
+    count_shift = 3 * K * width
+    visit(0, n_max + 1, 1 << count_shift)
+    # ones: the partitions of n with a part 1, each a node of total s < n
+    # plus n - s ones; repeated: the one more repeated value of those whose
+    # node has total n - 1, which holds from n + 1 on
+    ones = repeated = 0
     for n in range(n_max + 1):
-        total += tail[n]
-        rows[n] += total
+        if n >= 2:
+            twos[n] += twos[n - 2]
+        row = rows[n] + twos[n]
+        rows[n] = row + ones
+        count = row >> count_shift
+        ones += row + count * (over[1] + repeat[1]) + ((row & sel[1]) >> twice)
+        ones += repeated
+        repeated = count * repeat[1]
     return {
         k: (
             tuple((row >> (i * width)) & field for row in rows),
