@@ -13,7 +13,11 @@ and a reader of the CLI's CSV output.
   double sum, the oracle of `verify`'s remainder of the truncated theta
   identity, which regroups it as (Q(q^2) MP_ell) * q^k/(1-q^k)^2.
 - `parse_table_csv(text)` reads back the CSV of `compute`.
+- `golden(name)` and `golden_digests()` read the pinned outputs under
+  `tests/golden/`.
 """
+
+from pathlib import Path
 
 from partitionlab.series import TruncatedSeries
 from partitionlab.stats import c_k_table, mp_ell_table
@@ -76,3 +80,18 @@ def parse_table_csv(text):
             raise ValueError("non-contiguous n at row %d" % i)
         values.append(int(v_str))
     return values
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden(name):
+    """The pinned output tests/golden/<name>, byte for byte."""
+    return (GOLDEN / name).read_bytes().decode("utf-8")
+
+
+def golden_digests():
+    """{name: sha256} of the outputs too large to keep as files, read from
+    tests/golden/digests.sha256 (`sha256sum -c` format)."""
+    entries = (line.split("  ") for line in golden("digests.sha256").splitlines())
+    return {name: digest for digest, name in entries}

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import partitionlab
-from oracles import parse_table_csv
+from oracles import golden, golden_digests, parse_table_csv
 from partitionlab import cli, stats, verify
 from partitionlab.series import TruncatedSeries
 
@@ -300,9 +300,7 @@ def test_verify_text_report_truncates_the_failures(capsys):
     assert fails[0].endswith("k=2 ell=2 n=5: lhs=-2 rhs=0")
     assert fails[-1].endswith("k=2 ell=3 n=14: lhs=134 rhs=0")
     assert lines[-2:] == ["... and 92 more failures in bad-exponent", "FAIL"]
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "ca2766ff9457d57d8132f638172d764b79d7cbc82b6a212c29082845c7fcc0dd"
-    )
+    assert out == golden("bad-exponent-n60.txt")
 
 
 def test_verify_bad_exponent_below_ell_2_exit_2(capsys):
@@ -583,101 +581,78 @@ def test_export_unwritable_exit_3(capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden output: a change that keeps these bytes is a safe refactor
-
-GOLDEN_VERIFY_ALL_JSON = (
-    "8e1a4da6242b010f05ac62f11c4bf641ef8bea56aa21650aa82e00096c387793"
-)
-GOLDEN_EXPORT_N120 = (
-    "e4ca583bc84b9528559f44373dd4ecbe572b45abd060f4c3df498ac22c15b047"
-)
-
-
-def sha256_of_output(capsys, *argv):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+# golden output, pinned under tests/golden/: a change that keeps these
+# bytes is a safe refactor
 
 
 @pytest.mark.parametrize(
-    "args,golden",
+    "args,name",
     [
-        pytest.param([], GOLDEN_VERIFY_ALL_JSON, id="1"),
+        pytest.param([], "verify-default.json", id="1"),
         # the vacuous bad-exponent branch
         pytest.param(
-            ["--n-max", "30", "--ell", "1..1"],
-            "85bff213a09db535e32fff9f27388b58958197627a5ce208fbb1c88e90cc0a9c",
-            id="ell-1",
+            ["--n-max", "30", "--ell", "1..1"], "verify-ell-1.json", id="ell-1"
         ),
         pytest.param(
             ["--n-max", "10", "--k", "2..1", "--ell", "2..1"],
-            "06b7022919db73c10a5000ae7823336f6a756f2297cabfa1a3da4dff05a4340e",
+            "verify-empty-ranges.json",
             id="empty-ranges",
         ),
-        pytest.param(
-            ["--k", "2..4"],
-            "bc5ac1997079d121463653902886956cc653229d4ad2888c8b4abcf14d8687b6",
-            id="k-2..4",
-        ),
+        pytest.param(["--k", "2..4"], "verify-k-2..4.json", id="k-2..4"),
         # the witness check with no n to sweep
-        pytest.param(
-            ["--n-max", "0"],
-            "5fb6859229562dea3f6626252e3d1f4dabd4216a6e43162a69d5d353cbf4c1b1",
-            id="n-max-0",
-        ),
+        pytest.param(["--n-max", "0"], "verify-n-max-0.json", id="n-max-0"),
         pytest.param(
             ["--n-max", "60", "--k", "1..6", "--enum-cap", "45"],
-            "dc4a0e7fff692955c3d9e32d6f471aac3892ead27aaa90d38076fefb387a7dfe",
+            "verify-enum-cap-45.json",
             id="enum-cap-45",
         ),
         # the packed DP fields and the walk at the sweep cap, 60
         pytest.param(
             ["--n-max", "60", "--k", "1..6", "--enum-cap", "60"],
-            "6134b7a73f4b15af28876daa601175ee3c50af3516595a8be9c1b6f4a184db0c",
+            "verify-enum-cap-60.json",
             id="enum-cap-60",
         ),
         # the large config of the ROADMAP's north star
         pytest.param(
             ["--n-max", "240", "--enum-cap", "40", "--k", "1..5"],
-            "e64044c5714d7e3f76005e44d6b30b6dc04585c2eb96378141e23005d30fe2b7",
+            "verify-large.json",
             id="large",
         ),
     ],
 )
-def test_verify_all_json_is_golden(capsys, args, golden):
-    digest = sha256_of_output(capsys, "verify", "all", "--format", "json", *args)
-    assert digest == golden
+def test_verify_all_json_is_golden(capsys, args, name):
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "json", *args)
+    assert code == 0
+    assert out == golden(name)
 
 
 def test_export_every_table_is_golden(capsys):
-    digest = sha256_of_output(
+    code, out, _ = run_cli(
         capsys,
         "export", "--stats", "a,b,c,m,mp,q,p", "--k", "1..5", "--ell", "3",
         "--n-max", "120",
     )
-    assert digest == GOLDEN_EXPORT_N120
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == golden_digests()["export-n120.json"]
 
 
-# sha256 of compute's output for every statistic id, in sorted order,
-# then csub, each at the options below
-GOLDEN_COMPUTE = {
-    "csv": "3ee3ddad3d591a740f394b00f1918e334868dd19a18126d0b54b96df14905c7e",
-    "json": "7c0b5f4e35cfdc805e535623e7435a92b0029ba419ed8b918ad0dfe4ca86642e",
-    "text": "c94f71126351262e3f20a8645c877a012563c1eeed815380dbbdc9c1f97393bd",
-}
+# compute's output for every statistic id, in sorted order, then csub,
+# each at the options below
+GOLDEN_COMPUTE = {"csv": "compute.csv", "json": "compute.json", "text": "compute.txt"}
 
 
 @pytest.mark.parametrize("fmt", sorted(GOLDEN_COMPUTE))
 def test_compute_is_golden(capsys, fmt):
-    digest = hashlib.sha256()
     options = ["--k", "3", "--p", "2", "--ell", "2", "--n-max", "40"]
+    outs = []
     for stat in sorted(cli.TABLES) + ["csub"]:
         argv = ["compute", stat, "--format", fmt]
         argv += ["--n-max", "20"] if stat == "csub" else options
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, stat
-        digest.update(out.encode("utf-8"))
-    assert digest.hexdigest() == GOLDEN_COMPUTE[fmt]
+        outs.append(out)
+    assert "".join(outs) == golden(GOLDEN_COMPUTE[fmt])
 
 
 # ---------------------------------------------------------------------------

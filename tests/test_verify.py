@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import geometric_kernel, theta_remainder
+from oracles import geometric_kernel, golden, golden_digests, theta_remainder
 from partitionlab import cli, enumeration, stats, verify
 from partitionlab.series import TruncatedSeries, partition_gf
 from partitionlab.verify import (
@@ -234,7 +234,7 @@ def test_injected_fault_breaks_dependent_suites_only(monkeypatch):
     assert m_routes.passed and overpartitions.passed
 
 
-# sha256 of reports_to_json under corrupt_b_tables, captured before the
+# reports_to_json under corrupt_b_tables, captured before the
 # theta-family generators were merged: it pins which cells fail, their
 # sides and their order, which the all-pass goldens cannot see
 FAILING_CELL_ORDER = [
@@ -243,22 +243,21 @@ FAILING_CELL_ORDER = [
             RunConfig(n_max=30, enum_cap=12),
             suites={"trunc", "trunc-corollaries", "gen17", "bad-exponent"},
         ),
-        "c6e30c440df4d09a59af3b1c8118c91c3d5a3effe8768ec3ef2646254d2ee70e",
+        "failing-theta-suites.json",
         id="theta-suites",
     ),
     pytest.param(
         lambda: [uncorrected_exponent_report(30, 3)],
-        "81627511c334c94e793966f7b2c86505788eb0c3b32784435f1e94c210097ab4",
+        "failing-uncorrected-exponent.json",
         id="uncorrected-exponent",
     ),
 ]
 
 
-@pytest.mark.parametrize("reports,digest", FAILING_CELL_ORDER)
-def test_failing_cells_keep_their_order(monkeypatch, reports, digest):
+@pytest.mark.parametrize("reports,name", FAILING_CELL_ORDER)
+def test_failing_cells_keep_their_order(monkeypatch, reports, name):
     corrupt_b_tables(monkeypatch)
-    text = reports_to_json(reports())
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert reports_to_json(reports()) == golden(name)
 
 
 @pytest.mark.parametrize("k,ell,i", [(1, 1, 0), (2, 3, 7), (3, 2, 12)])
@@ -467,35 +466,33 @@ def test_every_identity_but_the_witness_fails_under_some_corruption():
     assert failed == set(verify.IDENTITY_RELATIONS) - {"BadExponent"}
 
 
-# sha256 of `verify all --format json` with one store entry corrupted,
-# captured while every cell was still an IdentityCase: the order, params
-# and sides of every failure, which the all-pass goldens cannot see.  A
-# wrong P fails cells of every suite that reads it, a wrong MP_ell only
-# through the theta remainder
+# `verify all --format json` with one store entry corrupted, captured
+# while every cell was still an IdentityCase: the order, params and sides
+# of every failure, which the all-pass goldens cannot see.  A wrong P
+# fails cells of every suite that reads it (428 KB, kept as its sha256),
+# a wrong MP_ell only through the theta remainder
 FAILING_RUN_GOLDENS = [
     pytest.param(
-        "partition_gf",
-        5,
-        "57cf8c99cabf0ae1ca6092dc98ec320f83d9017449e9c25bfbe32c2117828980",
-        id="partition_gf-5",
+        "partition_gf", 5, "failing-run-partition_gf-5.json", id="partition_gf-5"
     ),
     pytest.param(
-        "mp_ell_table",
-        45,
-        "a00f5a8aa7db8052336eeaf0b855bdec4b4cd86ca8c2c0644613170e972747df",
-        id="mp_ell_table-45",
+        "mp_ell_table", 45, "failing-run-mp_ell_table-45.json", id="mp_ell_table-45"
     ),
 ]
 
 
-@pytest.mark.parametrize("name,n,digest", FAILING_RUN_GOLDENS)
+@pytest.mark.parametrize("target,n,name", FAILING_RUN_GOLDENS)
 def test_verify_all_with_a_corrupted_store_entry_is_golden(
-    monkeypatch, capsys, name, n, digest
+    monkeypatch, capsys, target, n, name
 ):
-    corrupt_store_entry(monkeypatch, name, n)
+    corrupt_store_entry(monkeypatch, target, n)
     assert cli.main(["verify", "all", "--format", "json"]) == cli.EXIT_FAILURES
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    digests = golden_digests()
+    if name in digests:
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[name]
+    else:
+        assert out == golden(name)
 
 
 def test_verify_all_with_a_corrupted_partition_series_exits_1(monkeypatch, capsys):
@@ -836,7 +833,7 @@ SINGLE_SUITE_RUNS = [
         "run-all",
     ],
 )
-def test_wrapper_rejects_negative_n_max(entry_point):
+def test_every_entry_point_rejects_negative_n_max(entry_point):
     # every public entry point checks its config as run_all does; none
     # returns an empty passing report
     with pytest.raises(ValueError, match="n_max must be >= 0"):
@@ -845,7 +842,9 @@ def test_wrapper_rejects_negative_n_max(entry_point):
 
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty-b"])
 @pytest.mark.parametrize("in_a_full_run,config", SINGLE_SUITE_RUNS)
-def test_wrappers_agree_with_run_all(monkeypatch, in_a_full_run, config, faulty):
+def test_a_suite_reports_the_same_alone_and_in_a_full_run(
+    monkeypatch, in_a_full_run, config, faulty
+):
     # a suite reports the same inside a run of every suite as alone
     if faulty:
         corrupt_b_tables(monkeypatch)
@@ -881,19 +880,15 @@ def test_run_all_default_passes():
 def test_run_all_at_n240_is_golden():
     # the one golden in which trunc and m-routes read M_ell past order 60
     text = reports_to_json(run_all(RunConfig(n_max=240, k_range=(1, 5))))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "29992289d7239c8366541bcd34010dbb9def10ce39501bc146cbabe7345e06a2"
-    )
+    assert text == golden("verify-n240.json")
 
 
 def test_export_at_n500_is_golden(capsys):
     # the tables-n500 benchmark export, whose bytes perfbench gates
     argv = "export --stats a,b,c,m,mp,q,p --k 1..5 --ell 3 --n-max 500"
     assert cli.main(argv.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "01816d3f69697b873803cc8cf934bd6b663d4467dd9a627ccf11e58bf429a12b"
-    )
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == golden_digests()["export-n500.json"]
 
 
 def test_run_all_empty_ranges_pass():
