@@ -1,18 +1,19 @@
 """Identity verification sweeps.
 
 Every theorem-level identity of the package is restated here as an
-executable check over a parameter grid.  A suite yields one cell per
-grid point, a plain (identity_id, params, lhs, rhs) tuple, and _report
-alone judges each cell by its identity's relation, counting the cells
-and keeping an IdentityCase for each failing one in a
-VerificationReport.  Failures are collected, never thrown: a failing
-identity is data (the counterexample), not an error.
+executable check over a parameter grid.  A suite yields blocks of rows;
+a row (identity_id, params, lhs, rhs) is one identity over a run of n,
+its cell i has the sides lhs[i], rhs[i] and the params params(i), and
+_report alone judges it in one pass, keeping an IdentityCase for each
+failing cell in a VerificationReport.  Failures are collected, never
+thrown: a failing identity is data (the counterexample), not an error.
 
 All equalities are exact integer comparisons; there are no tolerances.
 """
 
 import json
 from collections import namedtuple
+from operator import ne, sub
 
 from . import enumeration, stats
 from .series import pentagonal_number, triangular_number
@@ -21,7 +22,7 @@ EQUALITY = "eq"
 NONNEGATIVE = "ge"
 
 # Relation per identity id: equality checks compare lhs == rhs,
-# nonnegativity checks require lhs >= 0 (rhs is recorded as 0).
+# nonnegativity checks require lhs >= 0 (rhs is None, recorded as 0).
 IDENTITY_RELATIONS = {
     "ThmGF-a": EQUALITY,
     "ThmGF-ap": EQUALITY,
@@ -105,50 +106,55 @@ class RunConfig(
         return self.n_max + ks[-1] + 1 if ks else self.n_max
 
 
-def _report(suite_id, range_desc, cells):
-    """Judge the cells (an iterable of (identity_id, params, lhs, rhs),
-    usually a generator) into a report: only a failing cell becomes an
-    IdentityCase."""
+def _report(suite_id, range_desc, blocks):
+    """Judge blocks (lists of rows whose sides have one length; a block's
+    cells run by i, then by row, as do its failures) into a report.  A row
+    that holds costs one pass in C; only a failing cell is an IdentityCase."""
     total = 0
     failures = []
-    for identity_id, params, lhs, rhs in cells:
-        total += 1
-        if IDENTITY_RELATIONS[identity_id] == NONNEGATIVE:
-            ok = lhs >= 0
-        else:
-            ok = lhs == rhs
-        if not ok:
-            failures.append(IdentityCase(identity_id, params, lhs, rhs, False))
+    for rows in blocks:
+        failed = []
+        for row in rows:
+            identity_id, _, lhs, rhs = row
+            total += len(lhs)
+            if IDENTITY_RELATIONS[identity_id] == NONNEGATIVE:
+                if min(lhs, default=0) < 0:
+                    failed += [(i, row, u, 0) for i, u in enumerate(lhs) if u < 0]
+            elif len(lhs) != len(rhs) or any(map(ne, lhs, rhs)):
+                cells = enumerate(zip(lhs, rhs, strict=True))
+                failed += [(i, row, u, v) for i, (u, v) in cells if u != v]
+        failed.sort(key=lambda cell: cell[0])  # stable: rows keep their order
+        for i, (identity_id, params, _, _), lhs, rhs in failed:
+            failures.append(IdentityCase(identity_id, params(i), lhs, rhs, False))
     return VerificationReport(suite_id, range_desc, total, failures)
 
 
-def _own_store(config):
-    """The store of a public entry point's run: config is checked, and the
-    store builds each base series once, at config.series_order()."""
-    config.validate()
-    return stats.TableStore(config.series_order())
+def _at_n(fixed, first):  # the params of cell i at n = first + i
+    return lambda i: dict(fixed, n=first + i)
 
 
 class _RunTables:
-    """What the suites of one run read: the tables of its TableStore,
-    through get, and its one part-value DP pass, through stat_sums, which
-    thmgf and overpartitions share.  Each run makes its own, so nothing
-    outlives the run."""
+    """What the suites of one run read, for a checked config: through get,
+    the tables of a store that builds each base series once, at
+    series_order(); through stat_sums, the one DP pass that thmgf and
+    overpartitions share; in theta_sums, the one running sum per theta
+    family, k and n_max that the family's suites share.  Each run makes
+    its own, so nothing outlives the run."""
 
     def __init__(self, config):
-        self.get = _own_store(config).get
-        self._config = config
+        config.validate()
+        self.get = stats.TableStore(config.series_order()).get
+        self.config = config
         self._stat_sums = None
+        self.theta_sums = {}
 
     def stat_sums(self):
         """enumeration.stat_sum_tables up to the enum bound and the largest
         k, run on the first call.  It is looked up at call time, so a
         patched or traced replacement is the one that runs."""
         if self._stat_sums is None:
-            config = self._config
-            self._stat_sums = enumeration.stat_sum_tables(
-                config.enum_n_max(), config.ks()[-1]
-            )
+            n_max, ks = self.config.enum_n_max(), self.config.ks()
+            self._stat_sums = enumeration.stat_sum_tables(n_max, ks[-1])
         return self._stat_sums
 
 
@@ -169,11 +175,10 @@ def _thmgf_cells(tables, config):
     for k in ks:
         b = tables.get("b_k_table", k, n_max).coeffs
         a = [tables.get("a_kp_table", k, p, n_max).coeffs for p in range(k)]
-        for n in range(1, n_max + 1):
-            yield "ThmGF-b", {"k": k, "n": n}, b[n], B[k - 1][n]
-            yield "ThmGF-a", {"k": k, "n": n}, a[0][n], A[k - 1][0][n]
-            for p in range(1, k):
-                yield "ThmGF-ap", {"k": k, "p": p, "n": n}, a[p][n], A[k - 1][p][n]
+        rows = [("ThmGF-b", {"k": k}, b, B[k - 1])]
+        rows.append(("ThmGF-a", {"k": k}, a[0], A[k - 1][0]))
+        rows += [("ThmGF-ap", {"k": k, "p": p}, a[p], A[k - 1][p]) for p in range(1, k)]
+        yield [(id_, _at_n(fixed, 1), x[1:], y[1:]) for id_, fixed, x, y in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +191,15 @@ def _thmcomb_cells(tables, config):
     for k in config.ks():
         order = n_max + k + 1  # the shifted identity reads b_k(n + k - p)
         b_tab = tables.get("b_k_table", k, order)
-        b = b_tab.coeffs
-        a0 = tables.get("a_kp_table", k, 0, order).coeffs
-        for n in range(1, n_max + 1):
-            yield "ThmComb-1", {"k": k, "n": n}, a0[n], k * b[n]
+        b = b_tab.coeffs[1 : n_max + 1]
+        a0 = tables.get("a_kp_table", k, 0, order).coeffs[1 : n_max + 1]
+        yield [("ThmComb-1", _at_n({"k": k}, 1), a0, [k * v for v in b])]
         for p in range(1, k):
-            ap = tables.get("a_kp_table", k, p, order).coeffs
-            b_before = b_tab.shifted(p).coeffs  # b_k(n - p), 0 for n < p
-            for n in range(1, n_max + 1):
-                rhs = (k - p) * b_before[n] + p * b[n + k - p]
-                yield "ThmComb-2", {"k": k, "p": p, "n": n}, ap[n], rhs
+            ap = tables.get("a_kp_table", k, p, order).coeffs[1 : n_max + 1]
+            b_before = b_tab.shifted(p).coeffs[1 : n_max + 1]  # b_k(n - p)
+            b_after = b_tab.coeffs[1 + k - p :]  # b_k(n + k - p)
+            rhs = [(k - p) * u + p * v for u, v in zip(b_before, b_after)]
+            yield [("ThmComb-2", _at_n({"k": k, "p": p}, 1), ap, rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +213,53 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
         (-1)^(ell-1) * (sum_{j in js(ell)} sign(j) b_k(n - exponent(j)) - main(n))
             = remainder(n),
 
-    the signed sum over every j collapsing to main(n).  main(tables, k,
-    n_max) and remainder(tables, k, ell, n_max) give their values for n =
-    0..n_max, reading the run's tables.  The terms are built here from
-    pentagonal_number and triangular_number, never taken from
-    series.pentagonal_series or series.theta_truncated, because
+    the signed sum over every j collapsing to main(n).  js(ell) is a range
+    that grows with ell, by terms whose exponents grow with ell.
+    main(tables, k, n_max) and remainder(tables, k, ell, n_max) give their
+    values for n = 0..n_max, reading the run's tables.  The terms are
+    built here from pentagonal_number and triangular_number, never taken
+    from series.pentagonal_series or series.theta_truncated, because
     stats.m_ell_table_pdiff and stats.mp_ell_table are built from those.
     """
 
     __slots__ = ()
 
-    def signed_sum(self, tables, k, ell, n_max):
-        terms = ((self.exponent(j), self.sign(j)) for j in self.js(ell))
-        return tables.get("b_k_table", k, n_max).shift_sum(terms).coeffs
+    def running_sums(self, tables, k, ells, n_max):
+        """lhs at each ell in ells, and the bilateral sum under None, off one
+        running sum s = S_ell(n) = sum_{j in js(ell)} sign(j) b_k(n - exponent(j)):
+        each ell adds the terms of js(ell) not in js(ell - 1), until one adds
+        none of degree <= n_max, when S_ell is the bilateral sum."""
+        b, main = tables.get("b_k_table", k, n_max).coeffs, self.main(tables, k, n_max)
+        s = [0] * (n_max + 1)
+        sides, ell, top = {None: s}, 0, max(ells, default=0)
+        while True:
+            ell += 1
+            now, before = self.js(ell), self.js(ell - 1)
+            new = (*range(now.start, before.start), *range(before.stop, now.stop))
+            terms = [(e, self.sign(j)) for j in new if (e := self.exponent(j)) <= n_max]
+            if not terms and ell > top:
+                return sides
+            for e, c in terms:
+                s[e:] = [t + c * v for t, v in zip(s[e:], b)]
+            if ell in ells:  # (-1)^(ell-1) * (S_ell - main)
+                sides[ell] = list(map(sub, s, main) if ell % 2 else map(sub, main, s))
+
+    def _sides(self, tables, k, ells, n_max):
+        # a run keeps one build, at ell 1 (where the witness starts) to its
+        # largest, for every reader; any other store builds for one call
+        if not isinstance(tables, _RunTables):
+            return self.running_sums(tables, k, ells, n_max)
+        key = self, k, n_max
+        if key not in tables.theta_sums:
+            ells = range(1, tables.config.ell_range[1] + 1)
+            tables.theta_sums[key] = self.running_sums(tables, k, ells, n_max)
+        return tables.theta_sums[key]
 
     def lhs(self, tables, k, ell, n_max):
-        sign = -1 if ell % 2 == 0 else 1
-        sums = self.signed_sum(tables, k, ell, n_max)
-        return [sign * (s - m) for s, m in zip(sums, self.main(tables, k, n_max))]
+        return self._sides(tables, k, (ell,), n_max)[ell]
 
     def bilateral_sum(self, tables, k, n_max):
-        # every exponent is at least |j|, so the truncation at ell =
-        # n_max + 1 holds every term of degree <= n_max
-        return self.signed_sum(tables, k, n_max + 1, n_max)
+        return self._sides(tables, k, (), n_max)[None]
 
 
 def _alternating(j):
@@ -277,11 +305,9 @@ TRIANGULAR_INDICATOR = TRIANGULAR._replace(
 TRIANGULAR_UNCORRECTED = TRIANGULAR._replace(sign=_alternating)
 
 
-def _infsum_cells(identity_id, family, tables, k, n_max):
+def _infsum_row(identity_id, family, tables, k, n_max):
     infsum = family.bilateral_sum(tables, k, n_max)
-    main = family.main(tables, k, n_max)
-    for n in range(n_max + 1):
-        yield identity_id, {"k": k, "n": n}, infsum[n], main[n]
+    return identity_id, _at_n({"k": k}, 0), infsum, family.main(tables, k, n_max)
 
 
 def _trunc_cells(tables, config):
@@ -292,8 +318,7 @@ def _trunc_cells(tables, config):
         for ell in config.ells():
             lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
             rhs = PENTAGONAL.remainder(tables, k, ell, n_max)
-            for n in range(n_max + 1):
-                yield "Trunc-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n]
+            yield [("Trunc-eq", _at_n({"k": k, "ell": ell}, 0), lhs, rhs)]
 
 
 def _trunc_corollary_cells(tables, config):
@@ -303,9 +328,8 @@ def _trunc_corollary_cells(tables, config):
     for k in config.ks():
         for ell in config.ells():
             lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
-            for n in range(n_max + 1):
-                yield "Trunc-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0
-        yield from _infsum_cells("Trunc-infsum", PENTAGONAL, tables, k, n_max)
+            yield [("Trunc-nonneg", _at_n({"k": k, "ell": ell}, 0), lhs, None)]
+        yield [_infsum_row("Trunc-infsum", PENTAGONAL, tables, k, n_max)]
 
 
 def _gen17_cells(tables, config):
@@ -315,14 +339,13 @@ def _gen17_cells(tables, config):
     n_max = config.n_max
     for k in config.ks():
         # the bilateral cells are checked once per ell, after its own cells
-        infsum = list(_infsum_cells("Gen17-infsum", TRIANGULAR, tables, k, n_max))
+        infsum = _infsum_row("Gen17-infsum", TRIANGULAR, tables, k, n_max)
         for ell in config.ells():
             rhs = TRIANGULAR.remainder(tables, k, ell, n_max)
             lhs = TRIANGULAR.lhs(tables, k, ell, n_max)
-            for n in range(n_max + 1):
-                yield "Gen17-eq", {"k": k, "ell": ell, "n": n}, lhs[n], rhs[n]
-                yield "Gen17-nonneg", {"k": k, "ell": ell, "n": n}, lhs[n], 0
-            yield from infsum
+            params = _at_n({"k": k, "ell": ell}, 0)
+            yield [("Gen17-eq", params, lhs, rhs), ("Gen17-nonneg", params, lhs, None)]
+            yield [infsum]
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +353,23 @@ def _gen17_cells(tables, config):
 
 
 def _bad_exponent_cells(tables, n_max, ell_max):
-    """The BadExponent cells of the k=2 theta identity evaluated with the
-    wrong sign (-1)^j instead of (-1)^(j(j+1)/2), by increasing n, then
-    increasing ell."""
-    family, ells = TRIANGULAR_UNCORRECTED, range(1, ell_max + 1)
-    rhs = {ell: family.remainder(tables, 2, ell, n_max) for ell in ells}
-    lhs = {ell: family.lhs(tables, 2, ell, n_max) for ell in ells}
-    for n in range(1, n_max + 1):
-        for ell in ells:
-            params = {"k": 2, "ell": ell, "n": n}
-            yield "BadExponent", params, lhs[ell][n], rhs[ell][n]
+    """The BadExponent block of the k=2 theta identity evaluated with the
+    wrong sign (-1)^j instead of (-1)^(j(j+1)/2): one row per ell, its
+    cells by increasing n, then increasing ell."""
+    family, rows = TRIANGULAR_UNCORRECTED, []
+    for ell in range(1, ell_max + 1):
+        lhs = family.lhs(tables, 2, ell, n_max)[1:]
+        rhs = family.remainder(tables, 2, ell, n_max)[1:]
+        rows.append(("BadExponent", _at_n({"k": 2, "ell": ell}, 1), lhs, rhs))
+    yield rows
 
 
 def uncorrected_exponent_report(n_max, ell_max):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
     config = RunConfig(n_max, (2, 2), (1, ell_max))
-    return _report(
-        "bad-exponent",
-        dict(_k_ell_range(config), mode="raw"),
-        _bad_exponent_cells(_own_store(config), n_max, ell_max),
-    )
+    blocks = _bad_exponent_cells(_RunTables(config), n_max, ell_max)
+    return _report("bad-exponent", dict(_k_ell_range(config), mode="raw"), blocks)
 
 
 def _bad_exponent_witness_range(config):
@@ -370,8 +389,8 @@ def _bad_exponent_witness_cells(tables, config):
     cells = _bad_exponent_cells(tables, n_max, ell_top)
     witness = _report("bad-exponent", None, cells).first_failure
     if witness is not None:
-        n, ell = witness.params["n"], witness.params["ell"]
-        yield "BadExponent", {"witness_found": 1, "n": n, "ell": ell}, 1, 1
+        params = dict(witness_found=1, n=witness.params["n"], ell=witness.params["ell"])
+        yield [("BadExponent", lambda i: params, [1], [1])]
     elif any(
         TRIANGULAR.lhs(tables, 2, ell, n_max)
         != TRIANGULAR_UNCORRECTED.lhs(tables, 2, ell, n_max)
@@ -379,7 +398,7 @@ def _bad_exponent_witness_cells(tables, config):
     ):
         # no witness although the signs change some left side; where they
         # change none, as below the first witness, nothing is to be shown
-        yield "BadExponent", {"witness_found": 0}, 0, 1
+        yield [("BadExponent", lambda i: {"witness_found": 0}, [0], [1])]
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +422,13 @@ def _overpartition_cells(tables, config):
     counts = enumeration.overpartition_counts(n_max, ks)
     gf = tables.get("partition_gf", n_max)
     for k in ks:
-        a_series = stats.k_weighted(gf, k).coeffs
-        overlined, colored = counts[k]
-        for n in range(1, n_max + 1):
-            yield "P1", {"k": k, "n": n}, overlined[n], A[k - 1][0][n]
-            yield "P2", {"k": k, "n": n}, colored[n], a_series[n]
-            yield "P3", {"k": k, "n": n}, overlined[n], k * colored[n]
+        overlined, colored = (row[1:] for row in counts[k])
+        params = _at_n({"k": k}, 1)
+        yield [
+            ("P1", params, overlined, A[k - 1][0][1:]),
+            ("P2", params, colored, stats.k_weighted(gf, k).coeffs[1:]),
+            ("P3", params, overlined, [k * c for c in colored]),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +444,7 @@ def _m_route_cells(tables, config):
     for ell in config.ells():
         gaussian = tables.get("m_ell_table", ell, n_max).coeffs
         pdiff = tables.get("m_ell_table_pdiff", ell, n_max).coeffs
-        for n in range(n_max + 1):
-            yield "PfT2", {"ell": ell, "n": n}, gaussian[n], pdiff[n]
+        yield [("PfT2", _at_n({"ell": ell}, 0), gaussian, pdiff)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +460,9 @@ def _k_ell_range(config):
 
 
 # suite id -> (cells, describe), in report order.  cells(tables, config)
-# yields the suite's (identity_id, params, lhs, rhs) cells, reading its
-# tables and its DP pass from the run's _RunTables; describe(config) is
-# the range its report records.
+# yields the suite's blocks of rows, reading its tables, its DP pass and
+# its running sums from the run's _RunTables; describe(config) is the
+# range its report records.
 SUITES = {
     "thmgf": (
         _thmgf_cells,
@@ -467,7 +486,7 @@ SUITE_ORDER = tuple(SUITES)
 def run_all(config, suites=None):
     """Run every verification suite (or those named in suites) at the
     configured ranges, one after another over one _RunTables: one
-    TableStore and at most one part-value DP pass.
+    TableStore, at most one DP pass and one running sum per family and k.
 
     Reports come back in SUITE_ORDER, so identical configs yield
     identical output.

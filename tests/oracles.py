@@ -12,6 +12,10 @@ and a reader of the CLI's CSV output.
 - `theta_remainder(k, ell, order)` is sum_j c_k(j) MP_ell(n - j) as that
   double sum, the oracle of `verify`'s remainder of the truncated theta
   identity, which regroups it as (Q(q^2) MP_ell) * q^k/(1-q^k)^2.
+- `theta_signed_sum(family, k, ell, n_max)` is the signed sum
+  sum_{j in js(ell)} sign(j) b_k(n - exponent(j)) of a `verify.ThetaFamily`
+  taken term by term from its definition, the oracle of the running sum
+  that `verify` builds once per family and k.
 - `parse_table_csv(text)` reads back the CSV of `compute`.
 - `golden(name)` and `golden_digests()` read the pinned outputs under
   `tests/golden/`.
@@ -20,7 +24,7 @@ and a reader of the CLI's CSV output.
 from pathlib import Path
 
 from partitionlab.series import TruncatedSeries
-from partitionlab.stats import c_k_table, mp_ell_table
+from partitionlab.stats import b_k_table, c_k_table, mp_ell_table
 
 
 def geometric_kernel(k, order):
@@ -66,6 +70,21 @@ def theta_remainder(k, ell, order):
     return TruncatedSeries(
         [sum(c[j] * mp[n - j] for j in range(n + 1)) for n in range(order + 1)]
     )
+
+
+def theta_signed_sum(family, k, ell, n_max):
+    """sum_{j in js(ell)} sign(j) b_k(n - exponent(j)) for n = 0..n_max,
+    each term read from the b_k table built alone; a term whose exponent
+    exceeds n adds nothing."""
+    b = b_k_table(k, n_max).coeffs
+    return [
+        sum(
+            family.sign(j) * b[n - family.exponent(j)]
+            for j in family.js(ell)
+            if family.exponent(j) <= n
+        )
+        for n in range(n_max + 1)
+    ]
 
 
 def parse_table_csv(text):

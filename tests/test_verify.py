@@ -6,7 +6,13 @@ from collections import Counter
 
 import pytest
 
-from oracles import geometric_kernel, golden, golden_digests, theta_remainder
+from oracles import (
+    geometric_kernel,
+    golden,
+    golden_digests,
+    theta_remainder,
+    theta_signed_sum,
+)
 from partitionlab import cli, enumeration, stats, verify
 from partitionlab.series import TruncatedSeries, partition_gf
 from partitionlab.verify import (
@@ -136,6 +142,58 @@ def test_theta_remainder_matches_its_dense_sum(n_max):
         for ell in range(1, 4):
             remainder = verify.TRIANGULAR.remainder(tables, k, ell, n_max)
             assert remainder == theta_remainder(k, ell, n_max).coeffs, (k, ell)
+
+
+THETA_FAMILIES = (
+    "PENTAGONAL",
+    "TRIANGULAR",
+    "TRIANGULAR_UNCORRECTED",
+    "TRIANGULAR_INDICATOR",
+)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 30])
+@pytest.mark.parametrize("name", THETA_FAMILIES)
+def test_running_sums_match_the_signed_sum_of_their_definition(name, n_max):
+    # lhs and bilateral_sum read one running sum per family and k, which
+    # adds each ell's new terms to the last; the oracle sums js(ell) term
+    # by term, and js(n_max + 1) holds every term of degree <= n_max.  At
+    # n_max = 30, ell = 6 lies past the last pentagonal term.  A run's
+    # tables, which keep the sum, and a bare store, which builds it for
+    # each call, give the same sides
+    family = getattr(verify, name)
+    for k in (1, 2, 5):
+        run = verify._RunTables(RunConfig(n_max, (k, k), (1, 6)))
+        for tables in (run, stats.TableStore()):
+            main = family.main(tables, k, n_max)
+            for ell in range(1, 7):
+                sums = theta_signed_sum(family, k, ell, n_max)
+                sign = 1 if ell % 2 else -1
+                expected = [sign * (s - m) for s, m in zip(sums, main)]
+                assert family.lhs(tables, k, ell, n_max) == expected, (k, ell)
+            bilateral = theta_signed_sum(family, k, n_max + 1, n_max)
+            assert family.bilateral_sum(tables, k, n_max) == bilateral, k
+
+
+def test_a_run_builds_one_running_sum_per_family_and_k(monkeypatch):
+    # trunc and trunc-corollaries share PENTAGONAL's sums, and gen17 and
+    # the bad-exponent witness TRIANGULAR's; the witness alone reads the
+    # uncorrected sign, at k = 2
+    names = {getattr(verify, name): name for name in THETA_FAMILIES}
+    builds = Counter()
+    real = verify.ThetaFamily.running_sums
+
+    def counting(family, tables, k, ells, n_max):
+        builds[(names[family], k)] += 1
+        return real(family, tables, k, ells, n_max)
+
+    monkeypatch.setattr(verify.ThetaFamily, "running_sums", counting)
+    assert all(r.passed for r in run_all(RunConfig()))
+    assert sum(builds.values()) == 9
+    assert set(builds.values()) == {1}
+    assert Counter(name for name, _ in builds) == Counter(
+        PENTAGONAL=4, TRIANGULAR=4, TRIANGULAR_UNCORRECTED=1
+    )
 
 
 def test_triangular_indicator_fails_where_c_k_is_nonzero_off_the_multiples():
@@ -432,36 +490,73 @@ def add_one_at(value, path):
     return type(value)(copy)
 
 
-# an enumeration source, the path of one entry to corrupt, at k = 2 and
-# n = 7 (k = 3, p = 1 for a residue), and the identities whose cells that
-# entry feeds: stat_sum_tables returns (A, B) with A[k-1][p][n] and
-# B[k-1][n], overpartition_counts {k: (overlined, colored)}
+def add_one_at_each(value, paths):
+    for path in paths:
+        value = add_one_at(value, path)
+    return value
+
+
+# an enumeration source, the paths of the entries to corrupt, at k = 2
+# and n = 7 (k = 3, p = 1 for a residue), and the failing cells those
+# entries feed, as (identity, params) in report order: stat_sum_tables
+# returns (A, B) with A[k-1][p][n] and B[k-1][n], overpartition_counts
+# {k: (overlined, colored)}.  B and A fail two rows of one thmgf block,
+# whose cells run by n, then by row: at one n ThmGF-b comes before
+# ThmGF-a, and ThmGF-a at n = 7 before ThmGF-b at n = 8
+K2N7, K3P1N7 = {"k": 2, "n": 7}, {"k": 3, "p": 1, "n": 7}
 ENUMERATION_FAULTS = [
-    pytest.param("stat_sum_tables", (0, 1, 0, 7), {"ThmGF-a", "P1"}, id="A"),
-    pytest.param("stat_sum_tables", (0, 2, 1, 7), {"ThmGF-ap"}, id="A-residue"),
-    pytest.param("stat_sum_tables", (1, 1, 7), {"ThmGF-b"}, id="B"),
-    pytest.param("overpartition_counts", (2, 0, 7), {"P1", "P3"}, id="overlined"),
-    pytest.param("overpartition_counts", (2, 1, 7), {"P2", "P3"}, id="colored"),
+    pytest.param(
+        "stat_sum_tables", [(0, 1, 0, 7)], [("ThmGF-a", K2N7), ("P1", K2N7)], id="A"
+    ),
+    pytest.param(
+        "stat_sum_tables", [(0, 2, 1, 7)], [("ThmGF-ap", K3P1N7)], id="A-residue"
+    ),
+    pytest.param("stat_sum_tables", [(1, 1, 7)], [("ThmGF-b", K2N7)], id="B"),
+    pytest.param(
+        "stat_sum_tables",
+        [(0, 1, 0, 7), (1, 1, 7)],
+        [("ThmGF-b", K2N7), ("ThmGF-a", K2N7), ("P1", K2N7)],
+        id="A-and-B",
+    ),
+    pytest.param(
+        "stat_sum_tables",
+        [(0, 1, 0, 7), (1, 1, 8)],
+        [("ThmGF-a", K2N7), ("ThmGF-b", {"k": 2, "n": 8}), ("P1", K2N7)],
+        id="A-then-B",
+    ),
+    pytest.param(
+        "overpartition_counts",
+        [(2, 0, 7)],
+        [("P1", K2N7), ("P3", K2N7)],
+        id="overlined",
+    ),
+    pytest.param(
+        "overpartition_counts",
+        [(2, 1, 7)],
+        [("P2", K2N7), ("P3", K2N7)],
+        id="colored",
+    ),
 ]
 
 
-@pytest.mark.parametrize("source,path,identities", ENUMERATION_FAULTS)
+@pytest.mark.parametrize("source,paths,failures", ENUMERATION_FAULTS)
 def test_a_corrupted_enumeration_entry_fails_its_identities(
-    monkeypatch, source, path, identities
+    monkeypatch, source, paths, failures
 ):
     real = getattr(enumeration, source)
     monkeypatch.setattr(
-        enumeration, source, lambda *args: add_one_at(real(*args), path)
+        enumeration, source, lambda *args: add_one_at_each(real(*args), paths)
     )
     reports = run_all(RunConfig())
-    assert {c.identity_id for r in reports for c in r.failures} == identities
+    assert [(c.identity_id, c.params) for r in reports for c in r.failures] == failures
 
 
 def test_every_identity_but_the_witness_fails_under_some_corruption():
     # BadExponent is the witness meta-check: its one cell fails only when
     # no cell of the uncorrected sign fails, not when a value is wrong
     failed = set().union(
-        *FAILED_IDENTITIES.values(), *(p.values[2] for p in ENUMERATION_FAULTS)
+        *FAILED_IDENTITIES.values(),
+        *({identity for identity, _ in p.values[2]} for p in ENUMERATION_FAULTS),
     )
     assert failed == set(verify.IDENTITY_RELATIONS) - {"BadExponent"}
 
