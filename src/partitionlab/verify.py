@@ -13,7 +13,7 @@ All equalities are exact integer comparisons; there are no tolerances.
 
 import json
 from collections import namedtuple
-from operator import ne, sub
+from operator import add, ne, sub
 
 from . import enumeration, stats
 from .series import pentagonal_number, triangular_number
@@ -214,7 +214,8 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
             = remainder(n),
 
     the signed sum over every j collapsing to main(n).  js(ell) is a range
-    that grows with ell, by terms whose exponents grow with ell.
+    that grows with ell, by terms whose exponents grow with ell; sign(j)
+    is +1 or -1.
     main(tables, k, n_max) and remainder(tables, k, ell, n_max) give their
     values for n = 0..n_max, reading the run's tables.  The terms are
     built here from pentagonal_number and triangular_number, never taken
@@ -239,8 +240,8 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
             terms = [(e, self.sign(j)) for j in new if (e := self.exponent(j)) <= n_max]
             if not terms and ell > top:
                 return sides
-            for e, c in terms:
-                s[e:] = [t + c * v for t, v in zip(s[e:], b)]
+            for e, c in terms:  # c is +1 or -1
+                s[e:] = map(add if c > 0 else sub, s[e:], b)
             if ell in ells:  # (-1)^(ell-1) * (S_ell - main)
                 sides[ell] = list(map(sub, s, main) if ell % 2 else map(sub, main, s))
 
