@@ -7,6 +7,7 @@ its cell i has the sides lhs[i], rhs[i] and the params params(i), and
 _report alone judges it in one pass, keeping an IdentityCase for each
 failing cell in a VerificationReport.  Failures are collected, never
 thrown: a failing identity is data (the counterexample), not an error.
+The truncated-theta suites share one generator over a ThetaFamily.
 
 All equalities are exact integer comparisons; there are no tolerances.
 """
@@ -206,7 +207,7 @@ def _thmcomb_cells(tables, config):
 # truncated-theta families
 
 
-class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
+class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder_table")):
     """One family of truncated identities, the shape of every refinement
     the paper proves: for k >= 1, ell >= 1 and every n,
 
@@ -216,10 +217,11 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
     the signed sum over every j collapsing to main(n).  js(ell) is a range
     that grows with ell, by terms whose exponents grow with ell; sign(j)
     is +1 or -1.
-    main(tables, k, n_max) and remainder(tables, k, ell, n_max) give their
-    values for n = 0..n_max, reading the run's tables.  The terms are
-    built here from pentagonal_number and triangular_number, never taken
-    from series.pentagonal_series or series.theta_truncated, because
+    main(tables, k, n_max) gives n = 0..n_max from the run's tables, and
+    remainder(tables, k, ell, n_max) is the store's remainder_table at ell
+    weighted by q^k/(1 - q^k)^2.  The terms are built here from
+    pentagonal_number and triangular_number, never taken from
+    series.pentagonal_series or series.theta_truncated, because
     stats.m_ell_table_pdiff and stats.mp_ell_table are built from those.
     """
 
@@ -262,21 +264,12 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder")):
     def bilateral_sum(self, tables, k, n_max):
         return self._sides(tables, k, (), n_max)[None]
 
+    def remainder(self, tables, k, ell, n_max):
+        return stats.k_weighted(tables.get(self.remainder_table, ell, n_max), k).coeffs
+
 
 def _alternating(j):
     return -1 if j % 2 else 1
-
-
-def _pentagonal_remainder(tables, k, ell, n_max):
-    # sum_j j M_ell(n - kj): the coefficient of q^n in M_ell * q^k/(1 - q^k)^2
-    return stats.k_weighted(tables.get("m_ell_table", ell, n_max), k).coeffs
-
-
-def _theta_remainder(tables, k, ell, n_max):
-    # sum_j c_k(j) MP_ell(n - j): c_k is Q(q^2) * q^k/(1 - q^k)^2, so this
-    # is the coefficient of q^n in (Q(q^2) MP_ell) * q^k/(1 - q^k)^2, one
-    # dense product per ell whatever the k
-    return stats.k_weighted(tables.get("q2_mp_ell_table", ell, n_max), k).coeffs
 
 
 PENTAGONAL = ThetaFamily(
@@ -284,14 +277,16 @@ PENTAGONAL = ThetaFamily(
     exponent=pentagonal_number,
     sign=_alternating,
     main=lambda tables, k, n_max: [stats.divisor_term(n, k) for n in range(n_max + 1)],
-    remainder=_pentagonal_remainder,
+    # sum_j j M_ell(n - kj), the coefficient of q^n in M_ell * q^k/(1 - q^k)^2
+    remainder_table="m_ell_table",
 )
 TRIANGULAR = ThetaFamily(
     js=lambda ell: range(2 * ell),
     exponent=triangular_number,
     sign=stats.triangular_weight_sign,  # (-1)^(j(j+1)/2)
     main=lambda tables, k, n_max: tables.get("c_k_table", k, n_max).coeffs,
-    remainder=_theta_remainder,
+    # sum_j c_k(j) MP_ell(n - j), as c_k is Q(q^2) * q^k/(1 - q^k)^2
+    remainder_table="q2_mp_ell_table",
 )
 # the indicator variant, main term [k | n] * c_k(n): no suite checks it,
 # as it fails exactly where k does not divide n and c_k(n) != 0 (first at
@@ -306,54 +301,38 @@ TRIANGULAR_INDICATOR = TRIANGULAR._replace(
 TRIANGULAR_UNCORRECTED = TRIANGULAR._replace(sign=_alternating)
 
 
-def _infsum_row(identity_id, family, tables, k, n_max):
-    infsum = family.bilateral_sum(tables, k, n_max)
-    return identity_id, _at_n({"k": k}, 0), infsum, family.main(tables, k, n_max)
+def _theta_cells(family, eq, nonneg, infsum, infsum_each_ell=False):
+    """A theta suite's cells over family: per k, a block per ell of its eq
+    row (lhs against the remainder), then its nonneg row (lhs >= 0); then
+    a block of its infsum row (bilateral sum against main), or one after
+    each ell's with infsum_each_ell.  An id that is None leaves out its row."""
 
+    def cells(tables, config):
+        n_max = config.n_max
+        for k in config.ks():
+            if infsum:
+                sums = family.bilateral_sum(tables, k, n_max)
+                main = family.main(tables, k, n_max)
+                bilateral = [(infsum, _at_n({"k": k}, 0), sums, main)]
+            for ell in config.ells():
+                params = _at_n({"k": k, "ell": ell}, 0)
+                lhs = family.lhs(tables, k, ell, n_max)
+                rhs = family.remainder(tables, k, ell, n_max) if eq else None
+                rows = (eq, params, lhs, rhs), (nonneg, params, lhs, None)
+                yield [row for row in rows if row[0]]
+                if infsum_each_ell:
+                    yield bilateral
+            if infsum and not infsum_each_ell:
+                yield bilateral
 
-def _trunc_cells(tables, config):
-    """Truncated pentagonal identity: the alternating b_k sum minus the
-    divisor weight, signed, equals sum_j j * M_ell(n - kj)."""
-    n_max = config.n_max
-    for k in config.ks():
-        for ell in config.ells():
-            lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
-            rhs = PENTAGONAL.remainder(tables, k, ell, n_max)
-            yield [("Trunc-eq", _at_n({"k": k, "ell": ell}, 0), lhs, rhs)]
-
-
-def _trunc_corollary_cells(tables, config):
-    """Nonnegativity of the truncated pentagonal expression for every ell,
-    and the bilateral sum collapsing to n/k * [k | n]."""
-    n_max = config.n_max
-    for k in config.ks():
-        for ell in config.ells():
-            lhs = PENTAGONAL.lhs(tables, k, ell, n_max)
-            yield [("Trunc-nonneg", _at_n({"k": k, "ell": ell}, 0), lhs, None)]
-        yield [_infsum_row("Trunc-infsum", PENTAGONAL, tables, k, n_max)]
-
-
-def _gen17_cells(tables, config):
-    """Truncated theta identity: the alternating triangular b_k sum minus
-    c_k(n), signed, equals the convolution sum_j c_k(j) MP_ell(n-j); plus
-    its nonnegativity and full-sum corollaries."""
-    n_max = config.n_max
-    for k in config.ks():
-        # the bilateral cells are checked once per ell, after its own cells
-        infsum = _infsum_row("Gen17-infsum", TRIANGULAR, tables, k, n_max)
-        for ell in config.ells():
-            rhs = TRIANGULAR.remainder(tables, k, ell, n_max)
-            lhs = TRIANGULAR.lhs(tables, k, ell, n_max)
-            params = _at_n({"k": k, "ell": ell}, 0)
-            yield [("Gen17-eq", params, lhs, rhs), ("Gen17-nonneg", params, lhs, None)]
-            yield [infsum]
+    return cells
 
 
 # ---------------------------------------------------------------------------
 # the exponent correction
 
 
-def _bad_exponent_cells(tables, n_max, ell_max):
+def _bad_exponent_block(tables, n_max, ell_max):
     """The BadExponent block of the k=2 theta identity evaluated with the
     wrong sign (-1)^j instead of (-1)^(j(j+1)/2): one row per ell, its
     cells by increasing n, then increasing ell."""
@@ -362,15 +341,15 @@ def _bad_exponent_cells(tables, n_max, ell_max):
         lhs = family.lhs(tables, 2, ell, n_max)[1:]
         rhs = family.remainder(tables, 2, ell, n_max)[1:]
         rows.append(("BadExponent", _at_n({"k": 2, "ell": ell}, 1), lhs, rhs))
-    yield rows
+    return rows
 
 
 def uncorrected_exponent_report(n_max, ell_max):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
     config = RunConfig(n_max, (2, 2), (1, ell_max))
-    blocks = _bad_exponent_cells(_RunTables(config), n_max, ell_max)
-    return _report("bad-exponent", dict(_k_ell_range(config), mode="raw"), blocks)
+    block = _bad_exponent_block(_RunTables(config), n_max, ell_max)
+    return _report("bad-exponent", dict(_k_ell_range(config), mode="raw"), [block])
 
 
 def _bad_exponent_witness_range(config):
@@ -387,10 +366,12 @@ def _bad_exponent_witness_cells(tables, config):
     # rules give the same left sides (ell = 1, or n_max < 5) no cell follows
     n_max, (lo, hi) = config.n_max, config.ell_range
     ell_top = hi if lo <= hi else 0
-    cells = _bad_exponent_cells(tables, n_max, ell_top)
-    witness = _report("bad-exponent", None, cells).first_failure
+    rows = _bad_exponent_block(tables, n_max, ell_top)
+    # the raw block's first mismatch, by n, then ell: a scan, with no report
+    first = (at(i) for i in range(n_max) for _, at, u, v in rows if u[i] != v[i])
+    witness = next(first, None)
     if witness is not None:
-        params = dict(witness_found=1, n=witness.params["n"], ell=witness.params["ell"])
+        params = dict(witness_found=1, n=witness["n"], ell=witness["ell"])
         yield [("BadExponent", lambda i: params, [1], [1])]
     elif any(
         TRIANGULAR.lhs(tables, 2, ell, n_max)
@@ -463,7 +444,7 @@ def _k_ell_range(config):
 # suite id -> (cells, describe), in report order.  cells(tables, config)
 # yields the suite's blocks of rows, reading its tables, its DP pass and
 # its running sums from the run's _RunTables; describe(config) is the
-# range its report records.
+# range its report records.  A theta suite is one _theta_cells row.
 SUITES = {
     "thmgf": (
         _thmgf_cells,
@@ -471,9 +452,18 @@ SUITES = {
         lambda c: dict(_k_range(c, c.enum_n_max()), all_residues=True),
     ),
     "thmcomb": (_thmcomb_cells, lambda c: _k_range(c, c.n_max)),
-    "trunc": (_trunc_cells, _k_ell_range),
-    "trunc-corollaries": (_trunc_corollary_cells, _k_ell_range),
-    "gen17": (_gen17_cells, _k_ell_range),
+    # truncated pentagonal identity: the signed lhs is sum_j j M_ell(n - kj)
+    "trunc": (_theta_cells(PENTAGONAL, "Trunc-eq", None, None), _k_ell_range),
+    # that lhs is >= 0 for every ell, and the bilateral sum is n/k [k | n]
+    "trunc-corollaries": (
+        _theta_cells(PENTAGONAL, None, "Trunc-nonneg", "Trunc-infsum"),
+        _k_ell_range,
+    ),
+    # the truncated theta identity, its lhs >= 0 and its bilateral sum c_k(n)
+    "gen17": (
+        _theta_cells(TRIANGULAR, "Gen17-eq", "Gen17-nonneg", "Gen17-infsum", True),
+        _k_ell_range,
+    ),
     "overpartitions": (_overpartition_cells, lambda c: _k_range(c, c.enum_n_max())),
     "m-routes": (
         _m_route_cells,

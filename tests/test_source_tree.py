@@ -156,6 +156,22 @@ def test_every_route_function_has_a_caller_in_the_package():
     assert sorted(uncalled) == sorted(NO_CALLER_KEPT)
 
 
+def test_every_private_name_has_a_caller_in_the_package():
+    # a module-level function or class whose name starts with "_" is a
+    # helper; one that no package code reads is one a refactor left behind
+    trees = {path.name: tree for path, tree in package_trees()}
+    callers = [tree for name, tree in trees.items() if name != "__init__.py"]
+    uncalled = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not any(node.name in set(referenced_names(t, node)) for t in callers)
+    ]
+    assert uncalled == []
+
+
 def call_sets(call, params, name):
     """Whether call sets the parameter name of a function whose positional
     parameters are params; a call through *args or **kwargs may set any."""

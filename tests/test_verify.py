@@ -217,6 +217,22 @@ def test_triangular_indicator_fails_where_c_k_is_nonzero_off_the_multiples():
     assert first == {1: [], 2: [], 3: [5], 4: [6], 5: [7]}
 
 
+def test_a_fourth_theta_family_is_one_suites_row(monkeypatch):
+    # the indicator variant in gen17's row, under gen17's ids, fails the
+    # README's diagnostic cells: k=3, n = 5, 7, 8, 10, on the identity
+    # and its bilateral sum, and nowhere else
+    _, describe = verify.SUITES["gen17"]
+    cells = verify._theta_cells(
+        verify.TRIANGULAR_INDICATOR, "Gen17-eq", "Gen17-nonneg", "Gen17-infsum", True
+    )
+    monkeypatch.setitem(verify.SUITES, "gen17", (cells, describe))
+    (report,) = run_all(RunConfig(10, (3, 3), (1, 1)), suites={"gen17"})
+    assert report.total == 33
+    failed = [(c.identity_id, c.params["n"]) for c in report.failures]
+    expected = [(id_, n) for id_ in ("Gen17-eq", "Gen17-infsum") for n in (5, 7, 8, 10)]
+    assert failed == expected
+
+
 def test_gen17_displayed_indicator_variant_fails_for_k3():
     # restricting the subtrahend to multiples of k breaks the identity
     # as soon as c_k is nonzero off the multiples; first cell: k=3, n=5
@@ -683,16 +699,15 @@ def count_identity_cases(monkeypatch):
 def test_only_a_failing_cell_becomes_an_identity_case(monkeypatch):
     made = count_identity_cases(monkeypatch)
     config = RunConfig(n_max=30, enum_cap=12)
-    # bad-exponent judges the raw cells of the uncorrected sign, which
-    # fail by design, to find its witness
-    suites = set(verify.SUITE_ORDER) - {"bad-exponent"}
-    assert all(r.passed for r in run_all(config, suites))
+    # bad-exponent scans the raw cells of the uncorrected sign, which fail
+    # by design, for its witness without making a case of any
+    assert all(r.passed for r in run_all(config))
     assert made == Counter()
     raw = uncorrected_exponent_report(30, 3)
     assert made == Counter(BadExponent=len(raw.failures)) != Counter()
     made.clear()
     corrupt_b_tables(monkeypatch)
-    reports = run_all(config, suites)
+    reports = run_all(config)
     failures = Counter(c.identity_id for r in reports for c in r.failures)
     assert failures and made == failures
     assert all(not c.passed for r in reports for c in r.failures)
