@@ -57,11 +57,13 @@ BASE_SERIES = frozenset(
 
 
 class TableStore:
-    """The tables and base series of one run, each built once.
+    """The tables and base series of one run, and anything else that the
+    run shares between readers, each built once.
 
-    ``get("b_k_table", k, n_max)`` returns ``b_k_table(k, n_max,
-    tables=store)`` and calls it only on the first request for those
-    arguments, so every reader of the table gets the same one.  A base
+    ``keep(key, build)`` is the one memo: it calls build() only on the
+    first request for key, so every reader gets the same value.
+    ``get("b_k_table", k, n_max)`` keeps ``b_k_table(k, n_max,
+    tables=store)`` under the key ``("b_k_table", (k, n_max))``.  A base
     series is served as ``get("partition_gf", order)`` and so on: it is
     built once, at series_order or at the order asked for if that is
     larger, and a smaller order is served as its prefix, which is exact.
@@ -76,12 +78,15 @@ class TableStore:
         self._series_order = series_order
         self._tables = {}
 
+    def keep(self, key, build):
+        """The value kept under key: build() runs on the first request for
+        key only, and every later request gets the same value."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
     def get(self, name, *args):
-        key = (name, args)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = self._build(name, args)
-        return table
+        return self.keep((name, args), lambda: self._build(name, args))
 
     def _build(self, name, args):
         build = globals()[name]
@@ -181,9 +186,10 @@ def _m_ell_from_gaussian(ell, n_max):
         else:
             term = inv_poch * binom
         out[exponent:] = [s + t for s, t in zip(out[exponent:], term.coeffs)]
-        # advance both running factors from m to m+1:
-        # [m, ell-1] = [m-1, ell-1] * (1-q^m)/(1-q^(m-ell+1))
-        binom = binom.mul_binomial(-1, m).div_binomial(-1, m - ell + 1)
+        # advance the running factors from m to m+1, the binomial only where
+        # a dense term reads it: [m, ell-1] = [m-1, ell-1] * (1-q^m)/(1-q^(m-ell+1))
+        if ell > 2:
+            binom = binom.mul_binomial(-1, m).div_binomial(-1, m - ell + 1)
         m += 1
         inv_poch = inv_poch.div_binomial(-1, m)
     return tuple(out)

@@ -134,29 +134,16 @@ def _at_n(fixed, first):  # the params of cell i at n = first + i
     return lambda i: dict(fixed, n=first + i)
 
 
-class _RunTables:
-    """What the suites of one run read, for a checked config: through get,
-    the tables of a store that builds each base series once, at
-    series_order(); through stat_sums, the one DP pass that thmgf and
-    overpartitions share; in theta_sums, the one running sum per theta
-    family, k and n_max that the family's suites share.  Each run makes
-    its own, so nothing outlives the run."""
-
-    def __init__(self, config):
-        config.validate()
-        self.get = stats.TableStore(config.series_order()).get
-        self.config = config
-        self._stat_sums = None
-        self.theta_sums = {}
-
-    def stat_sums(self):
-        """enumeration.stat_sum_tables up to the enum bound and the largest
-        k, run on the first call.  It is looked up at call time, so a
-        patched or traced replacement is the one that runs."""
-        if self._stat_sums is None:
-            n_max, ks = self.config.enum_n_max(), self.config.ks()
-            self._stat_sums = enumeration.stat_sum_tables(n_max, ks[-1])
-        return self._stat_sums
+def _stat_sums(tables, config):
+    """enumeration.stat_sum_tables up to the enum bound and the largest k,
+    kept in the run's store: the one DP pass that thmgf and overpartitions
+    share.  It is looked up at call time, so a patched or traced
+    replacement is the one that runs."""
+    n_max, k_max = config.enum_n_max(), config.ks()[-1]
+    return tables.keep(
+        ("stat_sum_tables", n_max, k_max),
+        lambda: enumeration.stat_sum_tables(n_max, k_max),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +159,7 @@ def _thmgf_cells(tables, config):
         return
     # the run's one part-value DP pass, independent of the series, serves
     # every cell
-    A, B = tables.stat_sums()
+    A, B = _stat_sums(tables, config)
     for k in ks:
         b = tables.get("b_k_table", k, n_max).coeffs
         a = [tables.get("a_kp_table", k, p, n_max).coeffs for p in range(k)]
@@ -219,50 +206,48 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder_tab
     is +1 or -1.
     main(tables, k, n_max) gives n = 0..n_max from the run's tables, and
     remainder(tables, k, ell, n_max) is the store's remainder_table at ell
-    weighted by q^k/(1 - q^k)^2.  The terms are built here from
-    pentagonal_number and triangular_number, never taken from
-    series.pentagonal_series or series.theta_truncated, because
+    weighted by q^k/(1 - q^k)^2.  lhs and bilateral_sum read the running
+    sums that the store keeps once per family, k and n_max.  The terms are
+    built here from pentagonal_number and triangular_number, never taken
+    from series.pentagonal_series or series.theta_truncated, because
     stats.m_ell_table_pdiff and stats.mp_ell_table are built from those.
     """
 
     __slots__ = ()
 
-    def running_sums(self, tables, k, ells, n_max):
-        """lhs at each ell in ells, and the bilateral sum under None, off one
-        running sum s = S_ell(n) = sum_{j in js(ell)} sign(j) b_k(n - exponent(j)):
-        each ell adds the terms of js(ell) not in js(ell - 1), until one adds
-        none of degree <= n_max, when S_ell is the bilateral sum."""
-        b, main = tables.get("b_k_table", k, n_max).coeffs, self.main(tables, k, n_max)
-        s = [0] * (n_max + 1)
-        sides, ell, top = {None: s}, 0, max(ells, default=0)
+    def running_sums(self, tables, k, n_max):
+        """[S_1, S_2, ...] with S_ell(n) = sum_{j in js(ell)} sign(j)
+        b_k(n - exponent(j)), as one running sum: each ell adds the terms of
+        js(ell) not in js(ell - 1), until one adds none of degree <= n_max.
+        So the last S_ell is the bilateral sum, and so is every later one."""
+        b = tables.get("b_k_table", k, n_max).coeffs
+        s, sums, ell = [0] * (n_max + 1), [], 0
         while True:
             ell += 1
             now, before = self.js(ell), self.js(ell - 1)
             new = (*range(now.start, before.start), *range(before.stop, now.stop))
             terms = [(e, self.sign(j)) for j in new if (e := self.exponent(j)) <= n_max]
-            if not terms and ell > top:
-                return sides
+            if not terms:
+                return sums
             for e, c in terms:  # c is +1 or -1
                 s[e:] = map(add if c > 0 else sub, s[e:], b)
-            if ell in ells:  # (-1)^(ell-1) * (S_ell - main)
-                sides[ell] = list(map(sub, s, main) if ell % 2 else map(sub, main, s))
+            sums.append(s[:])
 
-    def _sides(self, tables, k, ells, n_max):
-        # a run keeps one build, at ell 1 (where the witness starts) to its
-        # largest, for every reader; any other store builds for one call
-        if not isinstance(tables, _RunTables):
-            return self.running_sums(tables, k, ells, n_max)
-        key = self, k, n_max
-        if key not in tables.theta_sums:
-            ells = range(1, tables.config.ell_range[1] + 1)
-            tables.theta_sums[key] = self.running_sums(tables, k, ells, n_max)
-        return tables.theta_sums[key]
+    def _sums(self, tables, k, n_max):
+        # the running sums and main term, kept in the store for every reader
+        return tables.keep(
+            (self, k, n_max),
+            lambda: (self.running_sums(tables, k, n_max), self.main(tables, k, n_max)),
+        )
 
     def lhs(self, tables, k, ell, n_max):
-        return self._sides(tables, k, (ell,), n_max)[ell]
+        """(-1)^(ell-1) * (S_ell - main)."""
+        sums, main = self._sums(tables, k, n_max)
+        s = sums[min(ell, len(sums)) - 1]
+        return list(map(sub, s, main) if ell % 2 else map(sub, main, s))
 
     def bilateral_sum(self, tables, k, n_max):
-        return self._sides(tables, k, (), n_max)[None]
+        return self._sums(tables, k, n_max)[0][-1]
 
     def remainder(self, tables, k, ell, n_max):
         return stats.k_weighted(tables.get(self.remainder_table, ell, n_max), k).coeffs
@@ -348,7 +333,9 @@ def uncorrected_exponent_report(n_max, ell_max):
     """Full sweep of the uncorrected variant; the failures list holds every
     cell where the wrong sign actually changes the identity."""
     config = RunConfig(n_max, (2, 2), (1, ell_max))
-    block = _bad_exponent_block(_RunTables(config), n_max, ell_max)
+    config.validate()
+    tables = stats.TableStore(config.series_order())
+    block = _bad_exponent_block(tables, n_max, ell_max)
     return _report("bad-exponent", dict(_k_ell_range(config), mode="raw"), [block])
 
 
@@ -400,7 +387,7 @@ def _overpartition_cells(tables, config):
     ks = list(config.ks())
     if n_max < 1 or not ks:
         return
-    A = tables.stat_sums()[0]
+    A = _stat_sums(tables, config)[0]
     counts = enumeration.overpartition_counts(n_max, ks)
     gf = tables.get("partition_gf", n_max)
     for k in ks:
@@ -443,8 +430,8 @@ def _k_ell_range(config):
 
 # suite id -> (cells, describe), in report order.  cells(tables, config)
 # yields the suite's blocks of rows, reading its tables, its DP pass and
-# its running sums from the run's _RunTables; describe(config) is the
-# range its report records.  A theta suite is one _theta_cells row.
+# its running sums from the run's one stats.TableStore; describe(config)
+# is the range its report records.  A theta suite is one _theta_cells row.
 SUITES = {
     "thmgf": (
         _thmgf_cells,
@@ -476,13 +463,15 @@ SUITE_ORDER = tuple(SUITES)
 
 def run_all(config, suites=None):
     """Run every verification suite (or those named in suites) at the
-    configured ranges, one after another over one _RunTables: one
-    TableStore, at most one DP pass and one running sum per family and k.
+    configured ranges, one after another over one stats.TableStore, which
+    keeps each table, at most one DP pass and one running sum per family
+    and k.
 
     Reports come back in SUITE_ORDER, so identical configs yield
     identical output.
     """
-    tables = _RunTables(config)
+    config.validate()
+    tables = stats.TableStore(config.series_order())
     return [
         _report(sid, describe(config), cells(tables, config))
         for sid, (cells, describe) in SUITES.items()

@@ -156,18 +156,31 @@ def test_every_route_function_has_a_caller_in_the_package():
     assert sorted(uncalled) == sorted(NO_CALLER_KEPT)
 
 
+def private_definitions(tree):
+    """The module-level functions and classes of tree whose name starts
+    with "_", and the methods of its classes whose name does but is no
+    dunder."""
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        for found in (node, *inner):
+            if (
+                isinstance(found, (ast.FunctionDef, ast.ClassDef))
+                and found.name.startswith("_")
+                and not (found.name.startswith("__") and found.name.endswith("__"))
+            ):
+                yield found
+
+
 def test_every_private_name_has_a_caller_in_the_package():
-    # a module-level function or class whose name starts with "_" is a
-    # helper; one that no package code reads is one a refactor left behind
+    # a private function, class or method is a helper; one that no package
+    # code reads is one a refactor left behind
     trees = {path.name: tree for path, tree in package_trees()}
     callers = [tree for name, tree in trees.items() if name != "__init__.py"]
     uncalled = [
         (module, node.name)
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not any(node.name in set(referenced_names(t, node)) for t in callers)
+        for node in private_definitions(tree)
+        if not any(node.name in set(referenced_names(t, node)) for t in callers)
     ]
     assert uncalled == []
 

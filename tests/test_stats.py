@@ -1,5 +1,6 @@
 """Series-backed statistic tables against oracles and closed forms."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -243,6 +244,28 @@ def test_m_table_convolves_no_constant_run_factor(monkeypatch, ell, calls):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("ell, muls, divs", [(1, 0, 31), (2, 17, 37), (3, 13, 28)])
+def test_m_table_steps_the_binomial_only_where_a_term_convolves(
+    monkeypatch, ell, muls, divs
+):
+    # at n_max = 60 the terms run over m = 1..30, 2..19 and 3..14.  1/(q;q)_m
+    # takes one division per m, to the m past the last term (31, 20, 15);
+    # an m = ell + 1 term, and so every M_2 term past m = 2, is one
+    # multiplication and one division (0, 17, 1); and only M_3 steps the
+    # running binomial [m-1, ell-1]_q, one of each per term (0, 0, 12)
+    counts = Counter()
+    for name in ("mul_binomial", "div_binomial"):
+        real = getattr(TruncatedSeries, name)
+
+        def counting(series, *args, real=real, name=name):
+            counts[name] += 1
+            return real(series, *args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counting)
+    m_ell_table(ell, 60)
+    assert counts == Counter(mul_binomial=muls, div_binomial=divs)
+
+
 def test_m_table_rejects_bad_ell():
     with pytest.raises(ValueError):
         m_ell_table(0, 5)
@@ -480,3 +503,21 @@ def test_a_negative_order_is_refused_with_a_store(name):
 def test_negative_order_raises_value_error(call):
     with pytest.raises(ValueError, match="must be >= 0"):
         call()
+
+
+def test_keep_builds_once_per_key():
+    # keep is the store's one memo: build runs on the first request for a
+    # key only, also when it builds None, and get keeps its tables in it
+    tables, builds = stats.TableStore(), []
+
+    def build(value):
+        return lambda: builds.append(value) or value
+
+    first = tables.keep(("sums", 1), build([1]))
+    assert tables.keep(("sums", 1), build([2])) is first
+    assert tables.keep(("sums", 2), build(None)) is None
+    assert tables.keep(("sums", 2), build([3])) is None
+    assert builds == [[1], None]
+    b = tables.get("b_k_table", 2, 10)
+    assert tables.keep(("b_k_table", (2, 10)), build([4])) is b
+    assert builds == [[1], None]

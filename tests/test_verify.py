@@ -159,14 +159,14 @@ def test_running_sums_match_the_signed_sum_of_their_definition(name, n_max):
     # adds each ell's new terms to the last; the oracle sums js(ell) term
     # by term, and js(n_max + 1) holds every term of degree <= n_max.  At
     # n_max = 30, ell = 6 lies past the last pentagonal term.  A run's
-    # tables, which keep the sum, and a bare store, which builds it for
-    # each call, give the same sides
+    # store, read from ell 1 up, and a bare store, read from ell 6 down,
+    # keep the sum alike and give the same sides
     family = getattr(verify, name)
     for k in (1, 2, 5):
-        run = verify._RunTables(RunConfig(n_max, (k, k), (1, 6)))
-        for tables in (run, stats.TableStore()):
+        run = stats.TableStore(RunConfig(n_max, (k, k), (1, 6)).series_order())
+        for tables, ells in ((run, range(1, 7)), (stats.TableStore(), range(6, 0, -1))):
             main = family.main(tables, k, n_max)
-            for ell in range(1, 7):
+            for ell in ells:
                 sums = theta_signed_sum(family, k, ell, n_max)
                 sign = 1 if ell % 2 else -1
                 expected = [sign * (s - m) for s, m in zip(sums, main)]
@@ -183,9 +183,9 @@ def test_a_run_builds_one_running_sum_per_family_and_k(monkeypatch):
     builds = Counter()
     real = verify.ThetaFamily.running_sums
 
-    def counting(family, tables, k, ells, n_max):
+    def counting(family, tables, k, n_max):
         builds[(names[family], k)] += 1
-        return real(family, tables, k, ells, n_max)
+        return real(family, tables, k, n_max)
 
     monkeypatch.setattr(verify.ThetaFamily, "running_sums", counting)
     assert all(r.passed for r in run_all(RunConfig()))
@@ -194,6 +194,27 @@ def test_a_run_builds_one_running_sum_per_family_and_k(monkeypatch):
     assert Counter(name for name, _ in builds) == Counter(
         PENTAGONAL=4, TRIANGULAR=4, TRIANGULAR_UNCORRECTED=1
     )
+
+
+def test_a_bare_store_builds_one_running_sum_per_family_and_k(monkeypatch):
+    # every left side and the bilateral sum read the sums kept in the store
+    # they are given, whichever store that is
+    builds = Counter()
+    real = verify.ThetaFamily.running_sums
+
+    def counting(family, tables, k, n_max):
+        builds[(family, k)] += 1
+        return real(family, tables, k, n_max)
+
+    monkeypatch.setattr(verify.ThetaFamily, "running_sums", counting)
+    tables = stats.TableStore()
+    families = [getattr(verify, name) for name in THETA_FAMILIES]
+    for family in families:
+        for k in (2, 3):
+            for ell in (3, 1, 8, 2, 3):  # ell = 8 lies past the last term
+                family.lhs(tables, k, ell, 30)
+            family.bilateral_sum(tables, k, 30)
+    assert builds == Counter({(family, k): 1 for family in families for k in (2, 3)})
 
 
 def test_triangular_indicator_fails_where_c_k_is_nonzero_off_the_multiples():
