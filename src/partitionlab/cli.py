@@ -40,10 +40,6 @@ TABLES = {
 }
 
 
-class UsageError(ValueError):
-    """Invalid usage; main maps it, as every ValueError, to exit 2."""
-
-
 def parse_range(text):
     """Parse 'lo..hi' or a single integer into an inclusive (lo, hi) pair."""
     try:
@@ -53,12 +49,12 @@ def parse_range(text):
         value = int(text)
         return value, value
     except ValueError:
-        raise UsageError("invalid range %r (expected 'lo..hi' or an integer)" % text)
+        raise ValueError("invalid range %r (expected 'lo..hi' or an integer)" % text)
 
 
 def _require(condition, message):
     if not condition:
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _compute_table(args):

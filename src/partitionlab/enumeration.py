@@ -27,7 +27,7 @@ The walks over partitions (`m_ell`, `q_distinct`, `mp_ell`,
 a/b lookups walk no partition and have no cap.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .series import pentagonal_number
 
@@ -80,14 +80,6 @@ def partitions(n):
                     h += 1
                     x[h] = t
         yield tuple(x[:m])
-
-
-def part_multiplicities(parts):
-    """Map each distinct part value of a partition to its multiplicity."""
-    m = {}
-    for v in parts:
-        m[v] = m.get(v, 0) + 1
-    return m
 
 
 def partition_count_table(n_max):
@@ -277,7 +269,7 @@ def overpartitions_p(n, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     for parts in partitions(n):
-        for v in sorted(part_multiplicities(parts)):
+        for v in sorted(Counter(parts)):
             if v % k == 0:
                 yield OverpartitionMarked(parts, v)
 
@@ -295,7 +287,7 @@ def overpartitions_a(n, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     for parts in partitions(n):
-        mults = part_multiplicities(parts)
+        mults = Counter(parts)
         divisible = [v for v in sorted(mults) if v % k == 0]
         for v in divisible:
             yield OverpartitionMarked(parts, v)
@@ -418,7 +410,7 @@ def mp_ell(n, ell):
     count = 0
     threshold = 2 * ell - 1
     for parts in partitions(n):
-        mults = part_multiplicities(parts)
+        mults = Counter(parts)
         above = [v for v in mults if v > threshold]
         if not above:
             continue
@@ -447,7 +439,7 @@ def mp_ell_verbal(n, ell):
     count = 0
     threshold = 2 * ell - 1
     for parts in partitions(n):
-        mults = part_multiplicities(parts)
+        mults = Counter(parts)
         above = [v for v in mults if v > threshold]
         if not above:
             if all(m == 1 for m in mults.values()):

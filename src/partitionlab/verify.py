@@ -3,9 +3,10 @@
 Every theorem-level identity of the package is restated here as an
 executable check over a parameter grid.  A suite yields blocks of rows;
 a row (identity_id, params, lhs, rhs) is one identity over a run of n,
-its cell i has the sides lhs[i], rhs[i] and the params params(i), and
-_report alone judges it in one pass, keeping an IdentityCase for each
-failing cell in a VerificationReport.  Failures are collected, never
+its cell i has the sides lhs[i], rhs[i] and the params params(i), and a
+row with no rhs (None) is a nonnegativity check, lhs[i] >= 0.  _report
+alone judges a row in one pass, keeping an IdentityCase for each failing
+cell in a VerificationReport.  Failures are collected, never
 thrown: a failing identity is data (the counterexample), not an error.
 The truncated-theta suites share one generator over a ThetaFamily.
 
@@ -19,32 +20,7 @@ from operator import add, ne, sub
 from . import enumeration, stats
 from .series import pentagonal_number, triangular_number
 
-EQUALITY = "eq"
-NONNEGATIVE = "ge"
-
-# Relation per identity id: equality checks compare lhs == rhs,
-# nonnegativity checks require lhs >= 0 (rhs is None, recorded as 0).
-IDENTITY_RELATIONS = {
-    "ThmGF-a": EQUALITY,
-    "ThmGF-ap": EQUALITY,
-    "ThmGF-b": EQUALITY,
-    "ThmComb-1": EQUALITY,
-    "ThmComb-2": EQUALITY,
-    "Trunc-eq": EQUALITY,
-    "Trunc-nonneg": NONNEGATIVE,
-    "Trunc-infsum": EQUALITY,
-    "Gen17-eq": EQUALITY,
-    "Gen17-nonneg": NONNEGATIVE,
-    "Gen17-infsum": EQUALITY,
-    "P1": EQUALITY,
-    "P2": EQUALITY,
-    "P3": EQUALITY,
-    "PfT2": EQUALITY,
-    "BadExponent": EQUALITY,
-}
-
-
-IdentityCase = namedtuple("IdentityCase", "identity_id params lhs rhs passed")
+IdentityCase = namedtuple("IdentityCase", "identity_id params lhs rhs")
 
 
 class VerificationReport(
@@ -116,9 +92,9 @@ def _report(suite_id, range_desc, blocks):
     for rows in blocks:
         failed = []
         for row in rows:
-            identity_id, _, lhs, rhs = row
+            _, _, lhs, rhs = row
             total += len(lhs)
-            if IDENTITY_RELATIONS[identity_id] == NONNEGATIVE:
+            if rhs is None:  # a nonnegativity row: lhs >= 0
                 if min(lhs, default=0) < 0:
                     failed += [(i, row, u, 0) for i, u in enumerate(lhs) if u < 0]
             elif len(lhs) != len(rhs) or any(map(ne, lhs, rhs)):
@@ -126,7 +102,7 @@ def _report(suite_id, range_desc, blocks):
                 failed += [(i, row, u, v) for i, (u, v) in cells if u != v]
         failed.sort(key=lambda cell: cell[0])  # stable: rows keep their order
         for i, (identity_id, params, _, _), lhs, rhs in failed:
-            failures.append(IdentityCase(identity_id, params(i), lhs, rhs, False))
+            failures.append(IdentityCase(identity_id, params(i), lhs, rhs))
     return VerificationReport(suite_id, range_desc, total, failures)
 
 
@@ -497,7 +473,7 @@ def case_jsonable(case):
         "params": dict(case.params),
         "lhs": json_safe_int(case.lhs),
         "rhs": json_safe_int(case.rhs),
-        "passed": case.passed,
+        "passed": False,  # a report keeps failing cells only
     }
 
 

@@ -13,25 +13,45 @@ import subprocess
 import sys
 from pathlib import Path
 
+from partitionlab import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def test_tracer_runs_a_small_verify():
-    argv = ["verify", "all", "--n-max", "10", "--k", "1..2", "--enum-cap", "8"]
+def traced(argv):
+    """The record that perfbench/tracer.py prints for one CLI run."""
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "tracer.py"), *argv, "--format", "json"],
+        [sys.executable, str(PERFBENCH / "tracer.py"), *argv],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_runs_a_small_verify():
+    argv = ["verify", "all", "--n-max", "10", "--k", "1..2", "--enum-cap", "8"]
+    record = traced([*argv, "--format", "json"])
     assert record["exit_code"] == 0
     reports = json.loads(record["output"])
     assert reports
     assert [r["suite"] for r in reports if r["failed"]] == []
+
+
+def test_tracer_runs_an_export_of_every_table(capsys):
+    # the one path that reaches every stats table, p_table and q_table
+    # among them, and so every span that the tracer wraps a table in
+    argv = "export --stats a,b,c,m,mp,q,p --k 1..2 --ell 1 --n-max 20".split()
+    record = traced(argv)
+    assert record["exit_code"] == 0
+    metrics = record["metrics"]
+    for name in ("p_table", "q_table"):
+        assert metrics["stats.%s.calls" % name]["value"] == 1, name
+    assert cli.main(argv) == 0
+    assert record["output"] == capsys.readouterr().out
 
 
 def test_run_records_the_backend():

@@ -662,5 +662,5 @@ def test_compute_is_golden(capsys, fmt):
 def test_parse_range():
     assert cli.parse_range("3") == (3, 3)
     assert cli.parse_range("1..4") == (1, 4)
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(ValueError):
         cli.parse_range("a..b")

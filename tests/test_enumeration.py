@@ -2,6 +2,7 @@
 overpartitions, subset counts."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,6 @@ from partitionlab.enumeration import (
     overpartition_counts,
     overpartitions_a,
     overpartitions_p,
-    part_multiplicities,
     partition_count_table,
     partitions,
     q_distinct,
@@ -88,11 +88,6 @@ def test_partition_counts_match_recurrence():
 def test_partition_count_endpoint_60():
     p = partition_count_table(60)
     assert sum(1 for _ in partitions(60)) == p[60] == 966467
-
-
-def test_part_multiplicities():
-    assert part_multiplicities((3, 1, 1)) == {3: 1, 1: 2}
-    assert part_multiplicities(()) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,7 @@ def test_overpartition_streams_unique_and_nested():
             assert set(plain) <= set(colored)
             for obj in colored:
                 assert obj.overlined % k == 0
-                mults = part_multiplicities(obj.base)
+                mults = Counter(obj.base)
                 assert obj.overlined in mults
                 if obj.colored is not None:
                     assert obj.colored % k == 0

@@ -6,6 +6,7 @@ Property tests of the kernels are in `tests/test_series_properties.py`.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -91,12 +92,12 @@ def test_invert_rejects_non_unit(backend):
 
 def brute_stat_sums(n, k_max):
     """Definitional oracle: run over explicit partitions of n."""
-    from partitionlab.enumeration import part_multiplicities, partitions
+    from partitionlab.enumeration import partitions
 
     A = [[0] * k for k in range(1, k_max + 1)]
     B = [0] * k_max
     for parts in partitions(n):
-        mults = part_multiplicities(parts)
+        mults = Counter(parts)
         for v, m in mults.items():
             for k in range(1, k_max + 1):
                 A[k - 1][v % k] += v

@@ -5,10 +5,17 @@ no `global` statement rebinds a module name, nothing imports
 `threading` to guard such state, and no `functools.cache` or
 `functools.lru_cache` memo keeps results from one call (or run) to the
 next.  Nothing imports `dataclasses` or `typing`, which would load
-`inspect` and its kin into every process at start-up."""
+`inspect` and its kin into every process at start-up.  The package's
+`__init__.py` re-exports nothing: each public name has one home, its
+module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import partitionlab
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "partitionlab"
@@ -57,6 +64,33 @@ def imported_modules(node):
     if isinstance(node, ast.ImportFrom):
         return {(node.module or "").split(".")[0]}
     return set()
+
+
+def test_package_init_imports_and_defines_nothing():
+    (tree,) = [tree for path, tree in package_trees() if path.name == "__init__.py"]
+    for node in ast.walk(tree):
+        where = getattr(node, "lineno", None)
+        assert not isinstance(node, (ast.Import, ast.ImportFrom)), where
+        assert not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ), where
+    assert partitionlab.__all__ == ["BACKEND", "__version__"]
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, partitionlab; "
+            "print(sorted(m for m in sys.modules if m.startswith('partitionlab')))",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert loaded == "['partitionlab']\n"
 
 
 def test_no_global_statement_or_threading_import():
@@ -140,10 +174,7 @@ def referenced_names(node, skip):
 
 
 def test_every_route_function_has_a_caller_in_the_package():
-    # the re-exports of __init__.py are not callers
-    trees = {
-        path.name: tree for path, tree in package_trees() if path.name != "__init__.py"
-    }
+    trees = {path.name: tree for path, tree in package_trees()}
     uncalled = []
     for module in ROUTE_MODULES:
         for node in trees[module].body:
@@ -175,12 +206,11 @@ def test_every_private_name_has_a_caller_in_the_package():
     # a private function, class or method is a helper; one that no package
     # code reads is one a refactor left behind
     trees = {path.name: tree for path, tree in package_trees()}
-    callers = [tree for name, tree in trees.items() if name != "__init__.py"]
     uncalled = [
         (module, node.name)
         for module, tree in trees.items()
         for node in private_definitions(tree)
-        if not any(node.name in set(referenced_names(t, node)) for t in callers)
+        if not any(node.name in set(referenced_names(t, node)) for t in trees.values())
     ]
     assert uncalled == []
 
@@ -241,6 +271,27 @@ def package_calls(trees):
     return functions, calls
 
 
+def defaulted(args):
+    """The (parameter, default) pairs of a function's ast.arguments."""
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+    return pairs + [
+        (a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def defaulted_parameters():
+    """Every defaulted parameter of a module-level function of the
+    package, as module.function(parameter=default), in file order."""
+    return [
+        "%s.%s(%s=%s)" % (path.stem, node.name, arg.arg, ast.unparse(default))
+        for path, tree in sorted(package_trees())
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for arg, default in defaulted(node.args)
+    ]
+
+
 # (function, parameter) -> why its default stays although no package call
 # both sets it and leaves it out
 DEFAULT_KEPT = {
@@ -252,18 +303,13 @@ def test_every_default_has_both_values_in_use():
     # a default that no package call sets is the only value in use, and one
     # that every package call overrides is a value only tests use;
     # functions that no package code calls are the public API
-    trees = {
-        path.stem: tree for path, tree in package_trees() if path.name != "__init__.py"
-    }
+    trees = {path.stem: tree for path, tree in package_trees()}
     functions, calls = package_calls(trees)
     one_sided = []
     for key, found in calls.items():
         args = functions[key].args
         params = [a.arg for a in args.posonlyargs + args.args]
-        defaulted = params[len(params) - len(args.defaults) :] + [
-            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-        ]
-        for param in defaulted:
+        for param in (arg.arg for arg, _ in defaulted(args)):
             if not (
                 any(call_sets(call, params, param) for call in found)
                 and any(call_leaves_out(call, params, param) for call in found)

@@ -403,7 +403,7 @@ def test_dropped_partition_breaks_overpartition_identities_only(monkeypatch):
     # each k, the overlined total and d^2 + t of its distinct values
     # divisible by k (d of them, t repeated)
     real = enumeration.overpartition_counts
-    mults = enumeration.part_multiplicities((4, 3))
+    mults = Counter((4, 3))
 
     def dropping(n_max, ks):
         counts = real(n_max, ks)
@@ -588,6 +588,17 @@ def test_a_corrupted_enumeration_entry_fails_its_identities(
     assert [(c.identity_id, c.params) for r in reports for c in r.failures] == failures
 
 
+def identity_ids(config):
+    """The identity id of every row that the cells of verify.SUITES yield."""
+    tables = stats.TableStore(config.series_order())
+    return {
+        row[0]
+        for cells, _ in verify.SUITES.values()
+        for block in cells(tables, config)
+        for row in block
+    }
+
+
 def test_every_identity_but_the_witness_fails_under_some_corruption():
     # BadExponent is the witness meta-check: its one cell fails only when
     # no cell of the uncorrected sign fails, not when a value is wrong
@@ -595,7 +606,9 @@ def test_every_identity_but_the_witness_fails_under_some_corruption():
         *FAILED_IDENTITIES.values(),
         *({identity for identity, _ in p.values[2]} for p in ENUMERATION_FAULTS),
     )
-    assert failed == set(verify.IDENTITY_RELATIONS) - {"BadExponent"}
+    ids = identity_ids(RunConfig())
+    assert "BadExponent" in ids
+    assert failed == ids - {"BadExponent"}
 
 
 # `verify all --format json` with one store entry corrupted, captured
@@ -731,7 +744,7 @@ def test_only_a_failing_cell_becomes_an_identity_case(monkeypatch):
     reports = run_all(config)
     failures = Counter(c.identity_id for r in reports for c in r.failures)
     assert failures and made == failures
-    assert all(not c.passed for r in reports for c in r.failures)
+    assert all(c.lhs != c.rhs for r in reports for c in r.failures)
 
 
 def test_store_serves_every_suite_that_reads_b(monkeypatch):
@@ -1091,9 +1104,7 @@ def test_run_config_defaults_are_the_verify_cli_defaults():
 
 
 def test_report_jsonable_reads_the_report_and_case_fields():
-    case = verify.IdentityCase(
-        identity_id="P1", params={"k": 2, "n": 5}, lhs=3, rhs=4, passed=False
-    )
+    case = verify.IdentityCase(identity_id="P1", params={"k": 2, "n": 5}, lhs=3, rhs=4)
     report = verify.VerificationReport(
         suite_id="overpartitions",
         range_desc={"n": [1, 5]},
@@ -1120,13 +1131,34 @@ def test_report_jsonable_reads_the_report_and_case_fields():
     }
 
 
+def test_report_judges_a_row_by_its_rhs():
+    # a list rhs is an equality check, even where lhs is negative; a row
+    # whose rhs is None is a nonnegativity check, its failures recorded
+    # against 0
+    at = verify._at_n({}, 0)  # cell i is n = i
+    rows = [
+        ("eq-holds", at, [-1, 2], [-1, 2]),
+        ("eq-fails", at, [1, 2], [1, 3]),
+        ("ge-holds", at, [0, 5], None),
+        ("ge-fails", at, [0, -1], None),
+    ]
+    report = verify._report("suite", {}, [rows])
+    assert report.total == 8
+    assert report.failures == [
+        ("eq-fails", {"n": 1}, 2, 3),
+        ("ge-fails", {"n": 1}, -1, 0),
+    ]
+    assert verify.IdentityCase._fields == ("identity_id", "params", "lhs", "rhs")
+    assert [verify.case_jsonable(c)["passed"] for c in report.failures] == [False] * 2
+
+
 def test_report_json_big_integers_become_strings():
     big = 1 << 60
-    case = verify.IdentityCase("Trunc-eq", {"n": 1}, big, big + 1, False)
+    case = verify.IdentityCase("Trunc-eq", {"n": 1}, big, big + 1)
     payload = verify.case_jsonable(case)
     assert payload["lhs"] == str(big)
     assert payload["rhs"] == str(big + 1)
-    small = verify.IdentityCase("Trunc-eq", {"n": 1}, 7, 7, True)
+    small = verify.IdentityCase("Trunc-eq", {"n": 1}, 7, 8)
     assert verify.case_jsonable(small)["lhs"] == 7
 
 
