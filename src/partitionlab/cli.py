@@ -27,17 +27,12 @@ EXIT_INTERNAL = 4
 
 VERIFY_SUITES = ("all",) + verify.SUITE_ORDER
 
-# statistic id -> (its stats table builder, the parameters that builder
-# takes before n_max): what compute and export can build
-TABLES = {
-    "a": ("a_kp_table", ("k", "p")),
-    "b": ("b_k_table", ("k",)),
-    "c": ("c_k_table", ("k",)),
-    "m": ("m_ell_table", ("ell",)),
-    "mp": ("mp_ell_table", ("ell",)),
-    "q": ("q_table", ()),
-    "p": ("p_table", ()),
-}
+
+def stat_builders():
+    """Statistic id -> (its stats builder, the parameters it takes before
+    n_max): the stats.BUILDERS rows that compute and export can build."""
+    rows = stats.BUILDERS.items()
+    return {stat: (name, params) for name, (stat, params, _) in rows if stat}
 
 
 def parse_range(text):
@@ -67,7 +62,7 @@ def _compute_table(args):
             "--n-max must be <= %d for the subset count" % SUBSET_SWEEP_CAP,
         )
         return {}, TruncatedSeries(c_subsets(n) for n in range(n_max + 1))
-    name, params = TABLES[args.stat]
+    name, params = stat_builders()[args.stat]
     head = []
     for param in params:
         value = getattr(args, param)
@@ -190,17 +185,15 @@ def cmd_verify(args):
 
 def export_document(selectors, k_range, ell_range, n_max):
     """The statistic id, parameters and table of every (stat, parameter)
-    combination, keyed stat/params.
-
-    Selector expansion: 'a' covers every k in k_range and every residue
-    0 <= p < k; 'b' and 'c' cover each k; 'm' and 'mp' cover each ell in
-    ell_range; 'q' and 'p' are single tables.  A non-empty k_range must
-    start at k >= 1 whenever 'a', 'b' or 'c' is selected.
+    combination, keyed stat/params: k runs over k_range, p over every
+    residue 0 <= p < k and ell over ell_range.  A non-empty k_range must
+    start at k >= 1 whenever a selected statistic takes k.
     """
+    builders = stat_builders()
     for stat in selectors:
-        _require(stat in TABLES, "unknown stat %r in --stats" % stat)
+        _require(stat in builders, "unknown stat %r in --stats" % stat)
     ks = range(k_range[0], k_range[1] + 1)
-    if ks and any("k" in TABLES[stat][1] for stat in selectors):
+    if ks and any("k" in builders[stat][1] for stat in selectors):
         _require(ks[0] >= 1, "k must be >= 1")
     # the values of each parameter, given the values before it
     choices = {
@@ -212,7 +205,7 @@ def export_document(selectors, k_range, ell_range, n_max):
     tables = stats.TableStore()
     doc = {}
     for stat in selectors:
-        name, params = TABLES[stat]
+        name, params = builders[stat]
         heads = [()]
         for param in params:
             heads = [head + (v,) for head in heads for v in choices[param](head)]
@@ -242,9 +235,10 @@ def build_parser():
         description="Exact partition-statistic tables and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    builders = stat_builders()
 
     p_compute = sub.add_parser("compute", help="emit one statistic table")
-    p_compute.add_argument("stat", choices=(*TABLES, "csub"))
+    p_compute.add_argument("stat", choices=(*builders, "csub"))
     p_compute.add_argument("--k", type=int)
     p_compute.add_argument("--p", type=int)
     p_compute.add_argument("--ell", type=int)
@@ -277,7 +271,7 @@ def build_parser():
 
     p_export = sub.add_parser("export", help="bulk-dump statistic tables")
     p_export.add_argument(
-        "--stats", default="", help="comma-separated subset of " + ",".join(TABLES)
+        "--stats", default="", help="comma-separated subset of " + ",".join(builders)
     )
     p_export.add_argument("--k", default="1..3")
     p_export.add_argument("--ell", default="1..3")

@@ -7,10 +7,11 @@ the independent cross-check).
 
 Every table but M_ell is a few O(n) steps on one base series: the
 partition series 1/(q;q)_inf, Q(q^2), the MP base
-(-q;q^2)_inf/(q^2;q^2)_inf or the distinct-parts series (BASE_SERIES).
-M_ell has two builders, one route each, which share no algebra:
-m_ell_table sums the Gaussian-binomial series and reads no base series,
-and m_ell_table_pdiff multiplies the partition series by the pentagonal
+(-q;q^2)_inf/(q^2;q^2)_inf or the distinct-parts series, as the one
+registry of the builders, BUILDERS, records.  M_ell has two builders,
+one route each, which share no algebra: m_ell_table sums the
+Gaussian-binomial series and reads no base series, and
+m_ell_table_pdiff multiplies the partition series by the pentagonal
 truncation.  The `m-routes` suite of `verify` compares the two; neither
 builder checks the other.  q2_mp_ell_table, Q(q^2) * MP_ell, is no
 statistic but the one dense product behind the truncated theta
@@ -48,12 +49,21 @@ def mp_base_gf(n_max):
     return base
 
 
-# the names of the base series builders that the table builders read;
-# TableStore serves a smaller order of each as a prefix
-BASE_SERIES = frozenset(
-    build.__name__
-    for build in (partition_gf, q_squared_gf, mp_base_gf, distinct_parts_gf)
-)
+# builder name -> (its statistic id in cli, or None; its parameters before
+# n_max; the base series it reads, whose names make BASE_SERIES).  Each is
+# named, not held, so that a traced or patched builder is the one that runs
+BUILDERS = {
+    "a_kp_table": ("a", ("k", "p"), (partition_gf,)),
+    "b_k_table": ("b", ("k",), (partition_gf,)),
+    "c_k_table": ("c", ("k",), (q_squared_gf,)),
+    "m_ell_table": ("m", ("ell",), ()),
+    "m_ell_table_pdiff": (None, ("ell",), (partition_gf,)),
+    "mp_ell_table": ("mp", ("ell",), (mp_base_gf,)),
+    "q2_mp_ell_table": (None, ("ell",), (q_squared_gf, mp_base_gf)),
+    "q_table": ("q", (), (distinct_parts_gf,)),
+    "p_table": ("p", (), (partition_gf,)),
+}
+BASE_SERIES = frozenset(f.__name__ for _, _, bases in BUILDERS.values() for f in bases)
 
 
 class TableStore:

@@ -42,14 +42,17 @@ def test_tracer_runs_a_small_verify():
 
 
 def test_tracer_runs_an_export_of_every_table(capsys):
-    # the one path that reaches every stats table, p_table and q_table
-    # among them, and so every span that the tracer wraps a table in
-    argv = "export --stats a,b,c,m,mp,q,p --k 1..2 --ell 1 --n-max 20".split()
+    # the one path that reaches every statistic's table, and so the span
+    # that the tracer wraps each in: the store calls each builder by its
+    # name in stats, which the tracer rebinds
+    builders = cli.stat_builders()
+    argv = ["export", "--stats", ",".join(builders), "--k", "1..2", "--ell", "1"]
+    argv += ["--n-max", "20"]
     record = traced(argv)
     assert record["exit_code"] == 0
     metrics = record["metrics"]
-    for name in ("p_table", "q_table"):
-        assert metrics["stats.%s.calls" % name]["value"] == 1, name
+    for name, _ in builders.values():
+        assert metrics["stats.%s.calls" % name]["value"] >= 1, name
     assert cli.main(argv) == 0
     assert record["output"] == capsys.readouterr().out
 

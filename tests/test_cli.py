@@ -534,9 +534,9 @@ def test_export_builds_each_base_series_once(monkeypatch):
 
 
 def test_compute_prints_the_export_entry_of_every_table(capsys):
-    # compute and export build each statistic id of TABLES the same way
+    # compute and export build each statistic id of stats.BUILDERS the same way
     values = {"k": 3, "p": 2, "ell": 2}
-    for stat, (_, params) in cli.TABLES.items():
+    for stat, (_, params) in cli.stat_builders().items():
         options = ["--%s=%d" % (param, values[param]) for param in params]
         code, out, _ = run_cli(
             capsys, "compute", stat, *options, "--n-max", "40", "--format", "json"
@@ -646,7 +646,7 @@ GOLDEN_COMPUTE = {"csv": "compute.csv", "json": "compute.json", "text": "compute
 def test_compute_is_golden(capsys, fmt):
     options = ["--k", "3", "--p", "2", "--ell", "2", "--n-max", "40"]
     outs = []
-    for stat in sorted(cli.TABLES) + ["csub"]:
+    for stat in sorted(cli.stat_builders()) + ["csub"]:
         argv = ["compute", stat, "--format", fmt]
         argv += ["--n-max", "20"] if stat == "csub" else options
         code, out, _ = run_cli(capsys, *argv)

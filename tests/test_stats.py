@@ -1,5 +1,6 @@
 """Series-backed statistic tables against oracles and closed forms."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -7,7 +8,7 @@ from functools import partial
 import pytest
 
 from oracles import gaussian_binomial, geometric_kernel
-from partitionlab import enumeration, kernels, stats
+from partitionlab import cli, enumeration, kernels, stats
 from partitionlab.series import (
     TruncatedSeries,
     partition_gf,
@@ -392,18 +393,32 @@ def test_gaussian_route_matches_its_dense_sum(n_max):
         assert stats._m_ell_from_gaussian(ell, n_max) == total.coeffs, ell
 
 
-# table builder -> (its parameters before n_max, the base series it reads)
-BUILDERS = {
-    "p_table": ((), ("partition_gf",)),
-    "q_table": ((), ("distinct_parts_gf",)),
-    "a_kp_table": ((3, 1), ("partition_gf",)),
-    "b_k_table": ((2,), ("partition_gf",)),
-    "c_k_table": ((3,), ("q_squared_gf",)),
-    "m_ell_table": ((2,), ()),  # the Gaussian sum reads no base series
-    "m_ell_table_pdiff": ((2,), ("partition_gf",)),
-    "mp_ell_table": ((1,), ("mp_base_gf",)),
-    "q2_mp_ell_table": ((1,), ("q_squared_gf", "mp_base_gf")),
+# table builder -> example parameters before n_max; stats.BUILDERS says
+# which base series each reads
+EXAMPLE_HEADS = {
+    "a_kp_table": (3, 1),
+    "b_k_table": (2,),
+    "c_k_table": (3,),
+    "m_ell_table": (2,),
+    "m_ell_table_pdiff": (2,),
+    "mp_ell_table": (1,),
+    "q2_mp_ell_table": (1,),
+    "q_table": (),
+    "p_table": (),
 }
+
+
+def base_series_names(name):
+    """The names of the base series that the stats.BUILDERS row of name
+    says its builder reads."""
+    return {build.__name__ for build in stats.BUILDERS[name][2]}
+
+
+def test_every_table_function_is_a_builders_row():
+    # a builder left out of the registry would be missing from compute,
+    # export and every test that reads the registry
+    assert {name for name in dir(stats) if "_table" in name} == set(stats.BUILDERS)
+    assert set(EXAMPLE_HEADS) == set(stats.BUILDERS)
 
 
 def store_holding(name, series):
@@ -417,11 +432,10 @@ def test_a_builder_reads_the_base_series_of_its_store():
     # every builder given a store reads each of its base series there: a
     # doctored entry shows in the table.  m_ell_table reads none, so a
     # doctored P leaves it unchanged
-    assert {name for name in dir(stats) if "_table" in name} == set(BUILDERS)
-    assert set().union(*(bases for _, bases in BUILDERS.values())) == stats.BASE_SERIES
     n_max = 40
-    for name, (head, bases) in BUILDERS.items():
+    for name, head in EXAMPLE_HEADS.items():
         build = getattr(stats, name)
+        bases = base_series_names(name)
         for doctored_name in bases or ("partition_gf",):
             series = getattr(stats, doctored_name)(n_max)
             doctored = TruncatedSeries(
@@ -437,17 +451,14 @@ def test_a_builder_builds_the_same_table_with_a_store():
     # a prefix, and each table equals the one its builder builds alone
     tables = stats.TableStore(60)
     for n_max in (0, 40, 60):
-        for name, (head, _) in BUILDERS.items():
+        for name, head in EXAMPLE_HEADS.items():
             build = getattr(stats, name)
             assert build(*head, n_max, tables=tables) == build(*head, n_max), name
 
 
-@pytest.mark.parametrize("name", BUILDERS)
-def test_a_builder_called_alone_reads_its_base_series_through_a_store(
-    monkeypatch, name
-):
-    # the one input path: called with no store, a builder asks a store of
-    # its own for each of its base series, and m_ell_table asks for none
+def check_base_series_column(monkeypatch, name, head):
+    """Called alone at head, builder name asks a store of its own for
+    exactly the base series of its stats.BUILDERS row."""
     asked = set()
     real_get = stats.TableStore.get
 
@@ -456,28 +467,63 @@ def test_a_builder_called_alone_reads_its_base_series_through_a_store(
         return real_get(self, entry, *args)
 
     monkeypatch.setattr(stats.TableStore, "get", spying_get)
-    head, bases = BUILDERS[name]
     getattr(stats, name)(*head, 30)
-    assert asked & stats.BASE_SERIES == set(bases)
+    assert asked & stats.BASE_SERIES == base_series_names(name)
 
 
-@pytest.mark.parametrize("name", sorted(stats.BASE_SERIES | set(BUILDERS)))
+@pytest.mark.parametrize("name", stats.BUILDERS)
+def test_a_builder_called_alone_reads_its_base_series_through_a_store(
+    monkeypatch, name
+):
+    # the one input path: called with no store, a builder asks a store of
+    # its own for each of its base series, and m_ell_table asks for none
+    check_base_series_column(monkeypatch, name, EXAMPLE_HEADS[name])
+
+
+def q_weighted_table(k, n_max, *, tables=None):
+    """Q times q^k/(1-q^k)^2: a throwaway statistic for the test below."""
+    return stats.k_weighted(stats._store(tables).get("distinct_parts_gf", n_max), k)
+
+
+def test_a_new_statistic_is_one_builders_row(monkeypatch, capsys):
+    # one row makes a builder a statistic of compute and export, and the
+    # store spy checks its base-series column
+    monkeypatch.setattr(stats, "q_weighted_table", q_weighted_table, raising=False)
+    row = ("qw", ("k",), (stats.distinct_parts_gf,))
+    monkeypatch.setitem(stats.BUILDERS, "q_weighted_table", row)
+    values = list(stats.k_weighted(q_table(12), 2).coeffs)
+    argv = ["compute", "qw", "--k", "2", "--n-max", "12", "--format", "json"]
+    assert cli.main(argv) == 0
+    entry = json.loads(capsys.readouterr().out)
+    assert entry == {"stat": "qw", "params": {"k": 2}, "n_max": 12, "values": values}
+    assert cli.main(["export", "--stats", "qw,b", "--k", "2..3", "--n-max", "12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["b/k=2", "b/k=3", "qw/k=2", "qw/k=3"]
+    assert doc["qw/k=2"] == entry
+    check_base_series_column(monkeypatch, "q_weighted_table", (2,))
+    # a wrong base-series column fails the spy
+    wrong = ("qw", ("k",), (partition_gf,))
+    monkeypatch.setitem(stats.BUILDERS, "q_weighted_table", wrong)
+    with pytest.raises(AssertionError):
+        check_base_series_column(monkeypatch, "q_weighted_table", (2,))
+
+
+@pytest.mark.parametrize("name", sorted(stats.BASE_SERIES | set(stats.BUILDERS)))
 def test_every_store_entry_is_a_truncated_series(name):
     # base series and tables alike, built at its order or served as a prefix
-    head = BUILDERS[name][0] if name in BUILDERS else ()
+    head = EXAMPLE_HEADS.get(name, ())
     for tables in (stats.TableStore(), stats.TableStore(50)):
         entry = tables.get(name, *head, 30)
         assert type(entry) is TruncatedSeries, name
         assert entry.order == 30, name
 
 
-@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("name", stats.BUILDERS)
 def test_a_negative_order_is_refused_with_a_store(name):
     # the store builds a negative order, so that its builder refuses it,
     # and does not serve it as a prefix
-    head, _ = BUILDERS[name]
     with pytest.raises(ValueError, match="must be >= 0"):
-        getattr(stats, name)(*head, -1, tables=stats.TableStore(50))
+        getattr(stats, name)(*EXAMPLE_HEADS[name], -1, tables=stats.TableStore(50))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +532,8 @@ def test_a_negative_order_is_refused_with_a_store(name):
 
 @pytest.mark.parametrize(
     "call",
-    [
-        partial(p_table, -1),
-        partial(q_table, -1),
-        partial(a_kp_table, 3, 1, -1),
-        partial(b_k_table, 2, -1),
-        partial(c_k_table, 2, -1),
-        partial(m_ell_table, 2, -1),
-        partial(mp_ell_table, 2, -1),
-        partial(stats.q2_mp_ell_table, 2, -1),
+    [partial(getattr(stats, name), *EXAMPLE_HEADS[name], -1) for name in stats.BUILDERS]
+    + [
         partial(gaussian_binomial, 3, 1, -1),
         partial(enumeration.partition_count_table, -1),
     ],

@@ -447,11 +447,8 @@ def corrupt_store_entry(monkeypatch, target, n):
     monkeypatch.setattr(stats, "TableStore", CorruptingStore)
 
 
-# every name a store serves: the base series and every table builder,
-# m_ell_table_pdiff included
-STORE_NAMES = sorted(
-    stats.BASE_SERIES | {name for name in dir(stats) if "_table" in name}
-)
+# every name a store serves: the base series and every table builder
+STORE_NAMES = sorted(stats.BASE_SERIES | set(stats.BUILDERS))
 # (name, n) whose corruption fails no cell of verify all at the default
 # config.  No suite reads Q or p; a corrupted MP base at n = 5 makes
 # mp_ell_table raise its negativity ArithmeticError instead.  The set may
@@ -503,7 +500,6 @@ def test_expected_misses_are_cases_of_the_matrix():
     cases = {(name, n) for name in STORE_NAMES for n in CORRUPTED_ENTRIES}
     assert EXPECTED_MISSES <= cases
     assert set(FAILED_IDENTITIES) == cases - EXPECTED_MISSES
-    assert {"m_ell_table_pdiff", "q2_mp_ell_table"} <= set(STORE_NAMES)
 
 
 @pytest.mark.parametrize("n", CORRUPTED_ENTRIES)
@@ -654,7 +650,7 @@ SUITES_READING_B = ("thmgf", "thmcomb", "trunc", "trunc-corollaries", "gen17")
 
 
 def count_table_builds(monkeypatch):
-    """Wrap every stats table function; return the Counter of its
+    """Wrap every stats.BUILDERS table builder; return the Counter of its
     (name, args) calls."""
     builds = Counter()
 
@@ -665,9 +661,8 @@ def count_table_builds(monkeypatch):
 
         return wrapper
 
-    for name in dir(stats):
-        if name.endswith("_table"):
-            monkeypatch.setattr(stats, name, counting(name, getattr(stats, name)))
+    for name in stats.BUILDERS:
+        monkeypatch.setattr(stats, name, counting(name, getattr(stats, name)))
     return builds
 
 
