@@ -20,10 +20,12 @@ def convolve(a, b):
 
     Row-dot form: out[k] = sum_{i<=k} a[i]*b[k-i] is a dot product of a
     with the slice of reversed b that ends at b[0].  map stops at the
-    shorter operand, so a is never sliced.  Zero terms are not skipped:
-    a zero product costs the C loop almost nothing, while a skip would
-    need a Python-level test per term.  There is no math.sumprod: it
-    exists only from Python 3.12, and a version fork would be a second
+    shorter of the two, so a is never sliced.  Products with the zero
+    tail past an operand's support are still made: cutting them needs no
+    per-term test and took the tables-n500 export from 2.567 to 1.478 s
+    (BENCH_15.json), but the tail stays until ROADMAP item 1 lets
+    perfbench, which reads that run's peak RSS as worse, accept the gain.
+    There is no math.sumprod (3.12+): a version fork would be a second
     path to keep correct.
     """
     n = len(a)

@@ -13,7 +13,6 @@ The truncated-theta suites share one generator over a ThetaFamily.
 All equalities are exact integer comparisons; there are no tolerances.
 """
 
-import json
 from collections import namedtuple
 from operator import add, ne, sub
 
@@ -453,46 +452,3 @@ def run_all(config, suites=None):
         for sid, (cells, describe) in SUITES.items()
         if suites is None or sid in suites
     ]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-JSON_INT_LIMIT = 1 << 53
-
-
-def json_safe_int(v):
-    # integers beyond 2^53 become decimal strings so that consumers with
-    # double-precision JSON parsers cannot corrupt them silently
-    return v if -JSON_INT_LIMIT < v < JSON_INT_LIMIT else str(v)
-
-
-def case_jsonable(case):
-    return {
-        "identity": case.identity_id,
-        "params": dict(case.params),
-        "lhs": json_safe_int(case.lhs),
-        "rhs": json_safe_int(case.rhs),
-        "passed": False,  # a report keeps failing cells only
-    }
-
-
-def report_jsonable(report):
-    return {
-        "suite": report.suite_id,
-        "range": report.range_desc,
-        "total": report.total,
-        "failed": len(report.failures),
-        "failures": [case_jsonable(c) for c in report.failures],
-    }
-
-
-def canonical_json(payload):
-    """The one JSON form of every document: stable key order, two-space
-    indent, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def reports_to_json(reports):
-    """Canonical JSON for a list of reports; they hold no wall-clock field."""
-    return canonical_json([report_jsonable(r) for r in reports])

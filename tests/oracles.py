@@ -16,6 +16,10 @@ and a reader of the CLI's CSV output.
   sum_{j in js(ell)} sign(j) b_k(n - exponent(j)) of a `verify.ThetaFamily`
   taken term by term from its definition, the oracle of the running sum
   that `verify` builds once per family and k.
+- `binomial_product(c, sign, e)` and `binomial_quotient(c, sign, e)` are
+  c times (1 + sign*q^e) and c divided by it, each coefficient summed
+  from its definition, the oracles of the in-place steps that
+  `series.product`, `mul_binomial` and `div_binomial` run.
 - `parse_table_csv(text)` reads back the CSV of `compute`.
 - `golden(name)` and `golden_digests()` read the pinned outputs under
   `tests/golden/`.
@@ -84,6 +88,20 @@ def theta_signed_sum(family, k, ell, n_max):
             if family.exponent(j) <= n
         )
         for n in range(n_max + 1)
+    ]
+
+
+def binomial_product(c, sign, e):
+    """c * (1 + sign*q^e) truncated to len(c): out[n] = c[n] + sign*c[n-e]."""
+    return [c[n] + (sign * c[n - e] if n >= e else 0) for n in range(len(c))]
+
+
+def binomial_quotient(c, sign, e):
+    """c / (1 + sign*q^e) truncated to len(c), as c times the geometric
+    series sum_j (-sign)^j q^(j*e): out[n] = sum_j (-sign)^j c[n - j*e]."""
+    return [
+        sum((-sign) ** j * c[n - j * e] for j in range(n // e + 1))
+        for n in range(len(c))
     ]
 
 

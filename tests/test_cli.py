@@ -436,10 +436,10 @@ def test_verify_suite_prints_its_entry_of_verify_all(capsys, args, n_max, ell_ma
     for suite in verify.SUITE_ORDER:
         if suite != "bad-exponent":
             code, out, _ = run_cli(capsys, "verify", suite, "--format", "json", *args)
-            assert (code, out) == (0, verify.canonical_json([entries[suite]])), suite
+            assert (code, out) == (0, cli.canonical_json([entries[suite]])), suite
     code, out, _ = run_cli(capsys, "verify", "bad-exponent", "--format", "json", *args)
     raw = verify.uncorrected_exponent_report(n_max, ell_max)
-    assert (code, out) == (1, verify.reports_to_json([raw]))
+    assert (code, out) == (1, cli.reports_to_json([raw]))
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--subset-cap"])
@@ -514,8 +514,14 @@ def test_export_builds_the_partition_series_once(monkeypatch):
         return real(order)
 
     monkeypatch.setattr(stats, "partition_gf", counting)
-    doc = cli.export_document(list("abc") + ["m", "mp", "q", "p"], (1, 5), (3, 3), 500)
-    assert len(doc) == 15 + 5 + 5 + 1 + 1 + 1 + 1
+    builders = cli.stat_builders()
+    doc = cli.export_document(list(builders), (1, 5), (3, 3), 500)
+    # a table per k in 1..5, and per residue p < k; ell 3 is one value
+    ks = range(1, 6)
+    assert len(doc) == sum(
+        sum(k if "p" in params else 1 for k in ks) if "k" in params else 1
+        for _, params in builders.values()
+    )
     assert orders == [500]
 
 

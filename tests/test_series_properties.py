@@ -7,7 +7,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from partitionlab import kernels
+from oracles import binomial_product, binomial_quotient
+from partitionlab import kernels, series
 from partitionlab.series import TruncatedSeries
 from test_kernels import naive_convolve
 
@@ -48,6 +49,22 @@ def test_invert_unit_round_trip(lead, tail):
 def test_div_binomial_undoes_mul_binomial(coeffs, sign, exponent):
     s = TruncatedSeries(coeffs[0])
     assert s.mul_binomial(sign, exponent).div_binomial(sign, exponent) == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=same_length_lists(1))
+def test_binomial_steps_match_their_definitions(coeffs):
+    # every sign, and every exponent up to one past the last coefficient,
+    # where the step leaves the list as it is
+    (c,) = coeffs
+    for sign in (1, -1):
+        for e in range(1, len(c) + 2):
+            out = list(c)
+            series._mul_binomial_inplace(out, sign, e)
+            assert out == binomial_product(c, sign, e), (sign, e)
+            out = list(c)
+            series._div_binomial_inplace(out, sign, e)
+            assert out == binomial_quotient(c, sign, e), (sign, e)
 
 
 @settings(max_examples=60, deadline=None)

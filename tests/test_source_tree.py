@@ -7,7 +7,7 @@ no `global` statement rebinds a module name, nothing imports
 next.  Nothing imports `dataclasses` or `typing`, which would load
 `inspect` and its kin into every process at start-up.  The package's
 `__init__.py` re-exports nothing: each public name has one home, its
-module."""
+module.  Only `cli` imports `json`: it writes every document."""
 
 import ast
 import os
@@ -77,20 +77,36 @@ def test_package_init_imports_and_defines_nothing():
     assert partitionlab.__all__ == ["BACKEND", "__version__"]
 
 
-def test_importing_the_package_loads_no_submodule():
-    loaded = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, partitionlab; "
-            "print(sorted(m for m in sys.modules if m.startswith('partitionlab')))",
-        ],
+def fresh_stdout(code):
+    """What code prints when a fresh interpreter runs it."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
         capture_output=True,
         text=True,
         check=True,
     ).stdout
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = fresh_stdout(
+        "import sys, partitionlab; "
+        "print(sorted(m for m in sys.modules if m.startswith('partitionlab')))"
+    )
     assert loaded == "['partitionlab']\n"
+
+
+def test_only_cli_imports_json():
+    # cli writes every document; verify builds and judges reports, so a
+    # run that only checks identities never loads the json module
+    loaded = fresh_stdout("import sys, partitionlab.verify; print('json' in sys.modules)")
+    assert loaded == "False\n"
+    importers = [
+        path.name
+        for path, tree in package_trees()
+        if any("json" in imported_modules(node) for node in ast.walk(tree))
+    ]
+    assert importers == ["cli.py"]
 
 
 def test_no_global_statement_or_threading_import():

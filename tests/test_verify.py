@@ -15,12 +15,8 @@ from oracles import (
 )
 from partitionlab import cli, enumeration, stats, verify
 from partitionlab.series import TruncatedSeries, partition_gf
-from partitionlab.verify import (
-    RunConfig,
-    reports_to_json,
-    run_all,
-    uncorrected_exponent_report,
-)
+from partitionlab.cli import reports_to_json
+from partitionlab.verify import RunConfig, run_all, uncorrected_exponent_report
 
 # ---------------------------------------------------------------------------
 # suite-level passes
@@ -610,7 +606,7 @@ def test_every_identity_but_the_witness_fails_under_some_corruption():
 # `verify all --format json` with one store entry corrupted, captured
 # while every cell was still an IdentityCase: the order, params and sides
 # of every failure, which the all-pass goldens cannot see.  A wrong P
-# fails cells of every suite that reads it (428 KB, kept as its sha256),
+# fails cells of every suite that reads it (373 KB, kept as its sha256),
 # a wrong MP_ell only through the theta remainder
 FAILING_RUN_GOLDENS = [
     pytest.param(
@@ -1109,7 +1105,7 @@ def test_report_jsonable_reads_the_report_and_case_fields():
     assert "wall_time" not in verify.VerificationReport._fields
     assert not report.passed
     assert report.first_failure is case
-    assert verify.report_jsonable(report) == {
+    assert cli.report_jsonable(report) == {
         "suite": "overpartitions",
         "range": {"n": [1, 5]},
         "total": 7,
@@ -1120,7 +1116,6 @@ def test_report_jsonable_reads_the_report_and_case_fields():
                 "params": {"k": 2, "n": 5},
                 "lhs": 3,
                 "rhs": 4,
-                "passed": False,
             }
         ],
     }
@@ -1144,17 +1139,17 @@ def test_report_judges_a_row_by_its_rhs():
         ("ge-fails", {"n": 1}, -1, 0),
     ]
     assert verify.IdentityCase._fields == ("identity_id", "params", "lhs", "rhs")
-    assert [verify.case_jsonable(c)["passed"] for c in report.failures] == [False] * 2
+    assert all("passed" not in cli.case_jsonable(c) for c in report.failures)
 
 
 def test_report_json_big_integers_become_strings():
     big = 1 << 60
     case = verify.IdentityCase("Trunc-eq", {"n": 1}, big, big + 1)
-    payload = verify.case_jsonable(case)
+    payload = cli.case_jsonable(case)
     assert payload["lhs"] == str(big)
     assert payload["rhs"] == str(big + 1)
     small = verify.IdentityCase("Trunc-eq", {"n": 1}, 7, 8)
-    assert verify.case_jsonable(small)["lhs"] == 7
+    assert cli.case_jsonable(small)["lhs"] == 7
 
 
 def test_json_serialization_excludes_wall_time():
