@@ -67,14 +67,11 @@ def _compute_table(args):
     head = []
     for param in params:
         value = getattr(args, param)
-        if param == "p":
-            value = 0 if value is None else value
-            _require(0 <= value < head[0], "--p must satisfy 0 <= p < k")
-        else:
-            _require(value is not None, "stat %r requires --%s" % (args.stat, param))
-            _require(value >= 1, "--%s must be >= 1" % param)
+        if param == "p" and value is None:
+            value = 0
+        _require(value is not None, "stat %r requires --%s" % (args.stat, param))
         head.append(value)
-    # one table shares no base series, so its builder runs alone
+    # the builder checks the ranges and runs alone: one table shares no base series
     return dict(zip(params, head)), getattr(stats, name)(*head, n_max)
 
 

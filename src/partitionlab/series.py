@@ -125,12 +125,6 @@ class TruncatedSeries:
                 out[e:] = [o + c * v for o, v in zip(out[e:], self._coeffs)]
         return TruncatedSeries(out)
 
-    def mul_sparse(self, other):
-        """self * other in O(order) per nonzero coefficient of other, for
-        a short factor such as a truncated pentagonal or theta sum."""
-        self._check_order(other)
-        return self.shift_sum((e, c) for e, c in enumerate(other._coeffs) if c)
-
     def mul_binomial(self, sign, exponent):
         """Multiply by (1 + sign*q^exponent) in O(order) time."""
         out = list(self._coeffs)

@@ -225,10 +225,11 @@ def m_ell_table(ell, n_max, *, tables=None):
 
 
 def _signed_truncation(base, truncation, ell):
-    # the coefficients of (-1)^(ell-1) * (base * truncation - 1), where
-    # the truncated pentagonal or theta sum has 2*ell terms
+    # the coefficients of (-1)^(ell-1) * (base * truncation - 1): the
+    # truncated pentagonal or theta sum's 2*ell terms scale shifted copies
     sign = -1 if ell % 2 == 0 else 1
-    coeffs = [sign * c for c in base.mul_sparse(truncation).coeffs]
+    terms = ((e, sign * c) for e, c in enumerate(truncation.coeffs) if c)
+    coeffs = list(base.shift_sum(terms).coeffs)
     coeffs[0] -= sign
     return coeffs
 

@@ -181,11 +181,12 @@ class ThetaFamily(namedtuple("ThetaFamily", "js exponent sign main remainder_tab
     is +1 or -1.
     main(tables, k, n_max) gives n = 0..n_max from the run's tables, and
     remainder(tables, k, ell, n_max) is the store's remainder_table at ell
-    weighted by q^k/(1 - q^k)^2.  lhs and bilateral_sum read the running
-    sums that the store keeps once per family, k and n_max.  The terms are
-    built here from pentagonal_number and triangular_number, never taken
-    from series.pentagonal_series or series.theta_truncated, because
-    stats.m_ell_table_pdiff and stats.mp_ell_table are built from those.
+    weighted by q^k/(1 - q^k)^2.  lhs, bilateral_sum and the infsum rows
+    read the running sums and main term that the store keeps once per
+    family, k and n_max.  The terms are built here from pentagonal_number
+    and triangular_number, never taken from series.pentagonal_series or
+    series.theta_truncated, because stats.m_ell_table_pdiff and
+    stats.mp_ell_table are built from those.
     """
 
     __slots__ = ()
@@ -270,10 +271,9 @@ def _theta_cells(family, eq, nonneg, infsum, infsum_each_ell=False):
     def cells(tables, config):
         n_max = config.n_max
         for k in config.ks():
-            if infsum:
-                sums = family.bilateral_sum(tables, k, n_max)
-                main = family.main(tables, k, n_max)
-                bilateral = [(infsum, _at_n({"k": k}, 0), sums, main)]
+            if infsum:  # the bilateral sum and main term the store keeps
+                sums, main = family._sums(tables, k, n_max)
+                bilateral = [(infsum, _at_n({"k": k}, 0), sums[-1], main)]
             for ell in config.ells():
                 params = _at_n({"k": k, "ell": ell}, 0)
                 lhs = family.lhs(tables, k, ell, n_max)

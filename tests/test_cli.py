@@ -126,6 +126,12 @@ def test_compute_invalid_params_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "a", "--k", "3", "--p", "7", "--n-max", "5")
     assert code == 2
     assert "0 <= p < k" in err
+    code, _, err = run_cli(capsys, "compute", "a", "--k", "0", "--n-max", "5")
+    assert code == 2
+    assert "k must be >= 1" in err
+    code, _, err = run_cli(capsys, "compute", "m", "--ell", "0", "--n-max", "5")
+    assert code == 2
+    assert "ell must be >= 1" in err
     code, _, err = run_cli(capsys, "compute", "b", "--n-max", "5")
     assert code == 2
     assert "--k" in err

@@ -83,6 +83,21 @@ def test_a_product_with_a_constant_run_is_the_naive_product(coeffs, c, data):
     assert list((run * s).coeffs) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(coeffs=same_length_lists(1), data=st.data())
+def test_shift_sum_is_the_naive_product_with_its_terms(coeffs, data):
+    # exponents run to two past the order, where a term adds nothing; a
+    # repeated exponent adds its coefficients, and a zero one adds nothing
+    s = TruncatedSeries(coeffs[0])
+    exponent = st.integers(0, s.order + 2)
+    terms = data.draw(st.lists(st.tuples(exponent, coefficient), max_size=8))
+    t = [0] * len(s)
+    for e, c in terms:
+        if e <= s.order:
+            t[e] += c
+    assert list(s.shift_sum(terms).coeffs) == naive_convolve(s.coeffs, t)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lists=same_length_lists(3))
 def test_series_ring_laws(lists):
